@@ -20,7 +20,7 @@ import random
 import sys
 import time
 
-from .curve import CURVES, CurveError, Point, fe_hex
+from .curve import CURVES, CurveError, Point
 from .hashing import HashVariant
 from .mixer import (
     Mixer,
@@ -140,7 +140,7 @@ def cmd_keygen(args, pp: PublicParams) -> int:
     pair = ring_gen(pp, _rng(args))
     sk_path = args.out + ".sk"
     pk_path = args.out + ".pk"
-    sk_hex = fe_hex(pair.sk, pp.curve.scalar_bytes)
+    sk_hex = pair.sk.value.to_bytes(pp.curve.scalar_bytes, "big").hex()
     with open(sk_path, "w", encoding="utf-8") as fh:
         fh.write(sk_hex + "\n")
     os.chmod(sk_path, 0o600)

@@ -440,9 +440,6 @@ class Point:
         # whole ladder and lands on the identity.
         return multi_mul(self.curve, [[(k, self)]])[0]
 
-    def __mul__(self, k) -> "Point":
-        return self.__rmul__(k)
-
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
@@ -661,11 +658,6 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     return [Point._wrap(curve, xy) for xy in _to_affine(out, p)]
 
 
-def dual_scalar_mul(k1, P1: Point, k2, P2: Point) -> Point:
-    """k1*P1 + k2*P2 in one pass, the verifier's commitment workhorse."""
-    return dual_scalar_mul_batch([(k1, P1, k2, P2)])[0]
-
-
 def dual_scalar_mul_batch(pairs) -> list[Point]:
     """Many (k1, P1, k2, P2) products at once, scalars reduced mod n.
 
@@ -722,11 +714,6 @@ for _curve in CURVES.values():
     if _glv:
         _GLV[_curve] = _glv
 del _curve, _glv
-
-
-def fe_hex(value: FieldElement | Scalar, width: int) -> str:
-    """Fixed-width big-endian lowercase hex for a residue."""
-    return value.value.to_bytes(width, "big").hex()
 
 
 def digest(data: bytes) -> bytes:

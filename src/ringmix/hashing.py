@@ -97,9 +97,8 @@ def try_and_increment_field(u: FieldElement, curve: CurveParams,
     raise HashToCurveError(f"no curve point within {limit} increments")
 
 
-def try_and_increment(msg: bytes, curve: CurveParams,
-                      limit: int = TRY_INCREMENT_LIMIT) -> Point:
-    return try_and_increment_field(hash_to_field(msg, 0, curve), curve, limit)
+def try_and_increment(msg: bytes, curve: CurveParams) -> Point:
+    return try_and_increment_field(hash_to_field(msg, 0, curve), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,7 @@ def ft_fallback_point(curve: CurveParams) -> Point:
     w, so they are pinned here; the distribution bias is two inputs out
     of p.
     """
-    x = 1
-    while True:
-        rhs = curve.rhs(x)
-        if chi(rhs, curve.p) >= 0:
-            return Point(curve, x, sqrt_mod(rhs, curve.p))
-        x += 1
+    return try_and_increment_field(curve.field(1), curve)
 
 
 def ft_map(t: FieldElement, curve: CurveParams) -> Point:
@@ -206,10 +200,9 @@ def insecure_hash_mult_g(msg: bytes, curve: CurveParams) -> Point:
 # Dispatch
 
 
-def hash_to_curve(msg: bytes, curve: CurveParams, variant: HashVariant,
-                  limit: int = TRY_INCREMENT_LIMIT) -> Point:
+def hash_to_curve(msg: bytes, curve: CurveParams, variant: HashVariant) -> Point:
     if variant is HashVariant.TRY_INCREMENT:
-        return try_and_increment(msg, curve, limit)
+        return try_and_increment(msg, curve)
     if variant is HashVariant.FT_DETERMINISTIC:
         return hash_to_curve_ft(msg, curve)
     if variant is HashVariant.INSECURE_MULT_G:

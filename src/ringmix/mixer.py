@@ -93,11 +93,20 @@ class MixPool:
     payouts: list[tuple[str, str]] = field(default_factory=list)  # (address, tag hex)
     refunds: list[str] = field(default_factory=list)
     balance: int = 0
+    # Decoded on first use; deposits are frozen once the ring is published.
+    # Never persisted.
+    _ring: Ring | None = field(default=None, init=False, repr=False, compare=False)
 
     def ring(self, curve: CurveParams) -> Ring:
         if self.phase is Phase.FILLING:
             raise PhaseError(f"{self.mix_id}: ring not published yet")
-        return Ring(Point.decode(curve, bytes.fromhex(pk)) for pk, _ in self.deposits)
+        if self.phase is not Phase.RING_PUBLISHED:
+            raise PhaseError(f"{self.mix_id}: pool is {self.phase.value}, no ring")
+        if self._ring is None:
+            self._ring = Ring(
+                Point.decode(curve, bytes.fromhex(pk)) for pk, _ in self.deposits
+            )
+        return self._ring
 
 
 class Mixer:

@@ -36,7 +36,6 @@ from .curve import (
     Point,
     Scalar,
     digest,
-    dual_scalar_mul,
     dual_scalar_mul_batch,
 )
 from .hashing import FtConstants, HashVariant, hash_to_curve, hash_to_scalar
@@ -77,7 +76,6 @@ class PublicParams:
     security_bits: int
     curve: CurveParams
     h_variant: HashVariant
-    hprime_id: str = "sha256"
     insecure_override: bool = False
 
 
@@ -264,6 +262,20 @@ def _ring_challenge(curve: CurveParams, msg: bytes, ring: Ring,
     return hash_to_scalar(b"".join(parts), curve)
 
 
+def _commitments(g: Point, h: Point, pairs, cs, ts) -> tuple[list[Point], list[Point]]:
+    """a_j = t_j*g + c_j*y_j and b_j = t_j*h + c_j*z_j for each (y_j, z_j).
+
+    One OR-composed equal-discrete-log commitment per pair, all in one
+    batch.  A slot with (c, t) = (0, r) is an honest commitment (r*g, r*h).
+    """
+    jobs = []
+    for (y, z), c, t in zip(pairs, cs, ts):
+        jobs.append((t, g, c, y))
+        jobs.append((t, h, c, z))
+    results = dual_scalar_mul_batch(jobs)
+    return results[0::2], results[1::2]
+
+
 def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Signature:
     """Sign msg as the ring member holding sk.
 
@@ -286,39 +298,18 @@ def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Sign
         # prime and sk is in [1, n).
         raise UrsError("degenerate tag: hash point order divides the secret key")
 
-    size = len(ring)
-    cs: list[Scalar | None] = [None] * size
-    ts: list[Scalar | None] = [None] * size
-    a_pts: list[Point | None] = [None] * size
-    b_pts: list[Point | None] = [None] * size
-
-    jobs = []
-    simulated = []
-    for j, y_j in enumerate(ring):
-        if j == i:
-            continue
-        t_j = curve.scalar(rng.randrange(curve.n))
-        c_j = curve.scalar(rng.randrange(curve.n))
-        cs[j], ts[j] = c_j, t_j
-        jobs.append((t_j, g, c_j, y_j))
-        jobs.append((t_j, h, c_j, tau_point))
-        simulated.append(j)
-    r = curve.scalar(rng.randrange(curve.n))
     zero = curve.scalar(0)
-    jobs.append((r, g, zero, g))
-    jobs.append((r, h, zero, h))
-
-    results = dual_scalar_mul_batch(jobs)
-    for pos, j in enumerate(simulated):
-        a_pts[j] = results[2 * pos]
-        b_pts[j] = results[2 * pos + 1]
-    a_pts[i] = results[-2]
-    b_pts[i] = results[-1]
-
-    c_i = _ring_challenge(curve, msg, ring, a_pts, b_pts)
-    for j in range(size):
+    cs = [zero] * len(ring)
+    ts = [zero] * len(ring)
+    for j in range(len(ring)):
         if j != i:
-            c_i = c_i - cs[j]
+            ts[j] = curve.scalar(rng.randrange(curve.n))
+            cs[j] = curve.scalar(rng.randrange(curve.n))
+    r = ts[i] = curve.scalar(rng.randrange(curve.n))
+    a_pts, b_pts = _commitments(g, h, [(y, tau_point) for y in ring], cs, ts)
+
+    # cs[i] is still zero, so subtracting the sum leaves the closing c_i.
+    c_i = _ring_challenge(curve, msg, ring, a_pts, b_pts) - sum(cs, zero)
     cs[i] = c_i
     ts[i] = r - c_i * sk
 
@@ -350,24 +341,12 @@ def ring_verify(pp: PublicParams, ring: Ring, msg: bytes, sig: Signature) -> boo
     if sig.ring_hash != ring.digest or sig.msg_hash != digest(msg):
         return False
 
-    g = curve.g
     h = ring_message_point(pp, msg, ring)
-    jobs = []
-    for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
-        jobs.append((t_j, g, c_j, y_j))
-        jobs.append((t_j, h, c_j, tau))
-    results = dual_scalar_mul_batch(jobs)
-    a_pts = results[0::2]
-    b_pts = results[1::2]
-
-    total = curve.scalar(0)
-    for c_j in sig.cs:
-        total = total + c_j
+    a_pts, b_pts = _commitments(
+        curve.g, h, [(y, tau) for y in ring], sig.cs, sig.ts
+    )
+    total = sum(sig.cs, curve.scalar(0))
     return total == _ring_challenge(curve, msg, ring, a_pts, b_pts)
-
-
-def tag_of(sig: Signature) -> Tag:
-    return sig.tau
 
 
 def link(s1: Signature, s2: Signature) -> LinkResult:
@@ -410,9 +389,9 @@ def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
     if x.value == 0:
         raise UrsError("zero witness is degenerate")
     r = curve.scalar(rng.randrange(curve.n))
-    a = r * g1
-    b = r * g2
-    c = _dleq_challenge(curve, g1, g2, x * g1, x * g2, a, b)
+    y1, y2 = x * g1, x * g2
+    (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [0], [r])
+    c = _dleq_challenge(curve, g1, g2, y1, y2, a, b)
     return DleqProof(c=c, t=r - c * x)
 
 
@@ -424,8 +403,7 @@ def dleq_verify(y1: Point, y2: Point, g1: Point, g2: Point,
     curve = g1.curve
     if g1.is_infinity or g2.is_infinity:
         return False
-    a = dual_scalar_mul(proof.t, g1, proof.c, y1)
-    b = dual_scalar_mul(proof.t, g2, proof.c, y2)
+    (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [proof.c], [proof.t])
     return proof.c == _dleq_challenge(curve, g1, g2, y1, y2, a, b)
 
 

@@ -181,6 +181,24 @@ def test_mix_deposit_into_full_pool_fails(workdir):
     assert "not accepting deposits" in res.stderr
 
 
+def test_mix_ring_on_closed_pool_is_state_error(workdir):
+    pp = ringmix.setup(128, ringmix.TEST_CURVE_31,
+                       ringmix.HashVariant.FT_DETERMINISTIC)
+    mixer = ringmix.Mixer(pp)
+    mix_id = mixer.mix_create(1, 4)
+    mixer.fund("alice", 1)
+    mixer.mix_deposit(mix_id, 3 * pp.curve.g, "alice")
+    mixer.mix_close(mix_id)
+    ringmix.save_state(mixer, str(workdir / "st.json"))
+    res = run_cli("--curve", "test-31", "--state", "st.json", "mix", "ring",
+                  "--mix", mix_id, cwd=workdir)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_attack_commands(workdir):
     make_keys(workdir, ["alice", "bob", "carol", "dave"])
     insecure = ("--curve", "test-31", "--hash", "insecure-mult-g",

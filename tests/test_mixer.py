@@ -312,6 +312,33 @@ def test_close_after_publication_rejected(pp31):
         mixer.mix_close(mix_id)
 
 
+@pytest.mark.parametrize("deposits", [1, 2])
+def test_ring_unavailable_after_close(pp31, rng, deposits):
+    # One deposit cannot form a ring at all; two would form one that was
+    # never published.  Either way a closed pool has no ring.
+    mixer = Mixer(pp31)
+    mix_id = mixer.mix_create(1, 4)
+    for i, pair in enumerate(distinct_keys(pp31, rng, deposits)):
+        mixer.fund(f"d{i}", 1)
+        mixer.mix_deposit(mix_id, pair.pk, f"d{i}")
+    mixer.mix_close(mix_id)
+    with pytest.raises(PhaseError):
+        mixer.mix_ring(mix_id)
+
+
+def test_published_ring_is_decoded_once_and_not_persisted(pp31, tmp_path):
+    mixer = Mixer(pp31)
+    mix_id, keys = fill_pool(pp31, mixer, random.Random(0))
+    path = tmp_path / "state.json"
+    save_state(mixer, str(path))
+    before = path.read_bytes()
+    ring = mixer.mix_ring(mix_id)
+    assert ring == canonical_ring([k.pk for k in keys])
+    assert mixer.mix_ring(mix_id) is ring
+    save_state(mixer, str(path))
+    assert path.read_bytes() == before
+
+
 # ---------------------------------------------------------------------------
 # state file
 

@@ -17,7 +17,6 @@ from ringmix import (
     SECP256K1,
     TEST_CURVE_11,
     TEST_CURVE_31,
-    dual_scalar_mul,
 )
 from ringmix.curve import _GLV, _glv_split, dual_scalar_mul_batch, multi_mul
 
@@ -119,7 +118,7 @@ def test_infinity_as_either_base(curve):
     got = multi_mul(curve, jobs)
     assert got[0] == got[1] == oracle_mul(4, P)
     assert got[2].is_infinity and got[3].is_infinity and got[4].is_infinity
-    assert dual_scalar_mul(7, P, 9, inf) == oracle_mul(7, P)
+    assert dual_scalar_mul_batch([(7, P, 9, inf)])[0] == oracle_mul(7, P)
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)
