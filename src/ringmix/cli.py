@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import os
 import random
 import sys
@@ -217,15 +218,15 @@ class _StateLock:
         self._fh.close()
 
 
-def _load_mixer(args, pp: PublicParams) -> Mixer:
-    if os.path.exists(args.state):
-        return load_state(args.state)
-    return Mixer(pp)
+# These change nothing, so an existing state file is not rewritten.  A
+# missing one is still created, as every other mix command does.
+_READ_ONLY_MIX = ("ring", "message", "status")
 
 
 def cmd_mix(args, pp: PublicParams) -> int:
     with _StateLock(args.state):
-        mixer = _load_mixer(args, pp)
+        existed = os.path.exists(args.state)
+        mixer = load_state(args.state) if existed else Mixer(pp)
         rc = EXIT_OK
         if args.mix_cmd == "create":
             mix_id = mixer.mix_create(args.denomination, args.capacity)
@@ -260,7 +261,8 @@ def cmd_mix(args, pp: PublicParams) -> int:
             print(" ".join(f"{k}={v}" for k, v in info.items()))
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown mix command {args.mix_cmd!r}")
-        save_state(mixer, args.state)
+        if not (existed and args.mix_cmd in _READ_ONLY_MIX):
+            save_state(mixer, args.state)
     return rc
 
 
@@ -405,8 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about as much as loading the state file, and
+# an in-process caller may run many commands; parse_args keeps no state.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         pp = _build_params(args)
         return args.func(args, pp)

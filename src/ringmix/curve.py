@@ -227,6 +227,11 @@ def _is_probable_prime(m: int) -> bool:
     return True
 
 
+# (p, a, b, gx, gy, n) of every parameter set that passed validate().
+# Keyed by value, not by object or curve_id.
+_VALIDATED: set[tuple] = set()
+
+
 class CurveParams:
     """Short-Weierstrass curve y^2 = x^3 + a*x + b over F_p with generator g.
 
@@ -269,7 +274,14 @@ class CurveParams:
         return (x * x * x + self.a * x + self.b) % self.p
 
     def validate(self) -> None:
-        """Check the published parameters actually describe a usable group."""
+        """Check the published parameters actually describe a usable group.
+
+        A parameter set that passed once returns at once; one that failed,
+        or was changed since, is checked in full again.
+        """
+        params = (self.p, self.a, self.b, self.gx, self.gy, self.n)
+        if params in _VALIDATED:
+            return
         if not _is_probable_prime(self.p):
             raise CurveError(f"{self.curve_id}: p is not prime")
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
@@ -279,6 +291,7 @@ class CurveParams:
             raise CurveError(f"{self.curve_id}: generator order too small")
         if not (self.n * g).is_infinity:
             raise CurveError(f"{self.curve_id}: n*g is not the identity")
+        _VALIDATED.add(params)
 
     def __eq__(self, other):
         if not isinstance(other, CurveParams):

@@ -21,18 +21,22 @@ JSON document; there is no chain underneath.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
+import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .curve import CurveParams, CURVES, Point, Scalar
-from .hashing import HashVariant, insecure_hash_exponent
+from .hashing import HashVariant, UnsupportedCurveError, insecure_hash_exponent
 from .urs import (
     PublicParams,
     Ring,
     RingSizeMismatchError,
     Signature,
     SignatureFormatError,
+    UrsError,
     decode_signature,
     ring_message_bytes,
     ring_message_point,
@@ -296,9 +300,8 @@ def attack_tag_reveal(pp: PublicParams, ring: Ring, sig: Signature, msg: bytes,
 # State file
 
 
-def save_state(mixer: Mixer, path: str) -> None:
-    """Write the whole ledger as deterministic, human-readable JSON."""
-    doc = {
+def _state_doc(mixer: Mixer) -> dict:
+    return {
         "version": STATE_VERSION,
         "params": {
             "curve": mixer.pp.curve.curve_id,
@@ -326,14 +329,91 @@ def save_state(mixer: Mixer, path: str) -> None:
             for mix_id, pool in sorted(mixer.pools.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+_FLUSH_EVERY = 1000  # pieces held before a write; bounds the writer's memory
+
+
+def _write_json(doc, fh) -> None:
+    """Write ``doc`` as ``json.dump(doc, fh, indent=2, sort_keys=True)`` does.
+
+    Only dict (str keys), list, str, int and bool occur in the state
+    document; anything else raises TypeError.  One pass with the C string
+    escaper; the pieces go out in chunks of about _FLUSH_EVERY.
+    """
+    parts: list[str] = []
+
+    def emit(value, pad: str) -> None:
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is True or value is False:
+            parts.append("true" if value else "false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, (dict, list)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                parts.append("{}" if is_dict else "[]")
+                return
+            inner = pad + "  "
+            sep = ("{" if is_dict else "[") + "\n" + inner
+            for item in sorted(value.items()) if is_dict else value:
+                if is_dict:
+                    sep += encode_basestring_ascii(item[0]) + ": "
+                    item = item[1]
+                parts.append(sep)
+                sep = ",\n" + inner
+                emit(item, inner)
+                if len(parts) >= _FLUSH_EVERY:
+                    fh.write("".join(parts))
+                    parts.clear()
+            parts.append("\n" + pad + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(
+                f"cannot write {type(value).__name__} to the state file")
+
+    emit(doc, "")
+    fh.write("".join(parts))
+
+
+def save_state(mixer: Mixer, path: str) -> None:
+    """Write the whole ledger as deterministic, human-readable JSON.
+
+    The bytes go to ``path + ".tmp"`` and are fsynced before the rename
+    over ``path``, so a crash leaves either the old file or the new one.
+    """
+    doc = _state_doc(mixer)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _write_json(doc, fh)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_state(path: str) -> Mixer:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a ledger; any unreadable or malformed file is a MixerError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _mixer_from_doc(json.load(fh))
+    except OSError as exc:
+        raise MixerError(f"{path}: {exc.strerror}") from None
+    except MixerError as exc:
+        raise MixerError(f"{path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError, UrsError,
+            UnsupportedCurveError) as exc:
+        raise MixerError(
+            f"{path}: malformed state file ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _mixer_from_doc(doc) -> Mixer:
     if doc.get("version") != STATE_VERSION:
         raise MixerError(f"unsupported state version {doc.get('version')!r}")
     params = doc["params"]

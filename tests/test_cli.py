@@ -1,5 +1,7 @@
 """End-to-end command-line scenarios driven through subprocesses."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -197,6 +199,131 @@ def test_mix_ring_on_closed_pool_is_state_error(workdir):
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
+
+
+def _published_pool_state(workdir):
+    """st.json holding one capacity-4 pool whose ring is published."""
+    pp = ringmix.setup(128, ringmix.TEST_CURVE_31,
+                       ringmix.HashVariant.FT_DETERMINISTIC)
+    mixer = ringmix.Mixer(pp)
+    mix_id = mixer.mix_create(1, 4)
+    for k in (2, 3, 5, 7):
+        mixer.fund(f"acct-{k}", 1)
+        mixer.mix_deposit(mix_id, k * pp.curve.g, f"acct-{k}")
+    path = workdir / "st.json"
+    ringmix.save_state(mixer, str(path))
+    return path, mix_id
+
+
+def test_read_only_mix_commands_leave_state_file_alone(workdir):
+    path, mix_id = _published_pool_state(workdir)
+    data, before = path.read_bytes(), path.stat()
+    for args in (("status", "--mix", mix_id), ("ring", "--mix", mix_id),
+                 ("message", "--mix", mix_id, "--payout", "p")):
+        res = run_cli("--curve", "test-31", "--state", "st.json", "mix",
+                      *args, cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        after = path.stat()
+        assert path.read_bytes() == data
+        assert after.st_mtime_ns == before.st_mtime_ns
+        assert after.st_ino == before.st_ino  # not replaced either
+
+
+# The empty ledger `mix message` wrote on a missing file before read-only
+# commands stopped rewriting the state file.
+EMPTY_TEST31_LEDGER = """\
+{
+  "accounts": {},
+  "next_pool_seq": 1,
+  "params": {
+    "curve": "test-31",
+    "hash": "ft",
+    "insecure_override": false,
+    "security_bits": 128
+  },
+  "pools": {},
+  "version": 1
+}
+"""
+
+
+def test_mix_message_creates_missing_state_file(workdir):
+    res = run_cli("--curve", "test-31", "--state", "st.json", "mix",
+                  "message", "--mix", "mix-0001", "--payout", "p",
+                  cwd=workdir)
+    assert res.returncode == 0
+    assert res.stdout == "mix-0001|p\n"
+    assert (workdir / "st.json").read_bytes() == EMPTY_TEST31_LEDGER.encode()
+
+
+CORRUPTIONS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "no-pools": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "pools"}),
+    "bogus-phase": lambda text: text.replace('"ring-published"', '"bogus"'),
+    "top-level-list": lambda text: "[]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_state_file_is_state_error(workdir, name):
+    path, mix_id = _published_pool_state(workdir)
+    path.write_text(CORRUPTIONS[name](path.read_text()))
+    res = run_cli("--curve", "test-31", "--state", "st.json", "mix",
+                  "status", "--mix", mix_id, cwd=workdir)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: st.json: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+# sha256 of the state file the seeded lifecycle below leaves, as written by
+# json.dump(indent=2, sort_keys=True) before the state writer was replaced.
+LIFECYCLE_STATE_SHA256 = (
+    "5150c39a9bec43b8751f4af05b1e1d6a609b5dac5410f84256ee193a7ad8c244")
+ODD_ACCOUNT = 'Zoë "q" \\ ∑\t'
+
+
+def seeded_mix_lifecycle(workdir, curve="test-31", hash_="ft"):
+    """message on a missing file, create, fund, deposits, ring, status, an
+    accepted and a repeated withdraw, status.  Returns the exit codes."""
+    names = ["alice", "bob", "carol", "dave"]
+    make_keys(workdir, names, curve=curve)
+    funders = [ODD_ACCOUNT, "bob", "", "dave"]
+    base = ("--curve", curve, "--hash", hash_, "--state", "st.json", "mix")
+    mix = ("--mix", "mix-0001")
+    payout = "pay-ü"
+    codes = []
+
+    def cli(*args):
+        res = run_cli(*args, cwd=workdir)
+        codes.append(res.returncode)
+        return res
+
+    cli(*base, "message", *mix, "--payout", payout)
+    cli(*base, "create", "--denomination", "2", "--capacity", "4")
+    for funder in funders:
+        cli(*base, "fund", "--account", funder, "--amount", "3")
+    for name, funder in zip(names, funders):
+        cli(*base, "deposit", *mix, "--pk", f"{name}.pk", "--from", funder)
+    (workdir / "mixring.txt").write_text(cli(*base, "ring", *mix).stdout)
+    cli(*base, "status", *mix)
+    for seed in (21, 22):
+        cli("--curve", curve, "--hash", hash_, "--seed", str(seed), "sign",
+            "--key", "alice.sk", "--ring", "mixring.txt",
+            "--msg", f"mix-0001|{payout}", "--out", f"w{seed}.hex")
+        cli(*base, "withdraw", *mix, "--sig", f"@w{seed}.hex",
+            "--payout", payout)
+    cli(*base, "status", *mix)
+    return codes
+
+
+def test_seeded_mix_lifecycle_state_bytes_are_pinned(workdir):
+    codes = seeded_mix_lifecycle(workdir)
+    assert codes == [0] * 15 + [1, 0]  # the repeated withdraw is TAG_REUSE
+    state = (workdir / "st.json").read_bytes()
+    assert hashlib.sha256(state).hexdigest() == LIFECYCLE_STATE_SHA256
 
 
 def test_attack_commands(workdir):

@@ -22,7 +22,10 @@ from ringmix import (
     TEST_CURVE_31,
     ZeroInversionError,
 )
+from ringmix import curve as curve_module
 from ringmix.curve import chi, sqrt_mod
+from ringmix.hashing import HashVariant
+from ringmix.urs import setup
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +390,49 @@ def test_composite_p_rejected():
     bad = CurveParams(curve_id="bad-p", p=15, a=0, b=7, gx=1, gy=0, n=4)
     with pytest.raises(CurveError):
         bad.validate()
+
+
+def _count_prime_tests(monkeypatch):
+    calls = []
+    real = curve_module._is_probable_prime
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+    monkeypatch.setattr(curve_module, "_is_probable_prime", counting)
+    return calls
+
+
+def _secp_copy(**changes):
+    fields = dict(curve_id="secp256k1", p=SECP256K1.p, a=SECP256K1.a,
+                  b=SECP256K1.b, gx=SECP256K1.gx, gy=SECP256K1.gy,
+                  n=SECP256K1.n)
+    fields.update(changes)
+    return CurveParams(**fields)
+
+
+def test_validate_runs_once_per_parameter_set(monkeypatch):
+    SECP256K1.validate()
+    calls = _count_prime_tests(monkeypatch)
+    for _ in range(3):
+        setup(128, SECP256K1, HashVariant.FT_DETERMINISTIC)
+    # keyed by value: an equal parameter set built anew is a hit too
+    _secp_copy(curve_id="another-name").validate()
+    assert calls == []
+
+
+def test_bad_parameters_are_checked_on_every_call(monkeypatch):
+    calls = _count_prime_tests(monkeypatch)
+    # same curve_id as a validated curve, wrong generator order
+    bad = _secp_copy(n=SECP256K1.n - 2)
+    for attempt in range(1, 4):
+        with pytest.raises(CurveError, match="n\\*g"):
+            bad.validate()
+        assert len(calls) == attempt
+    # a validated object changed afterwards is checked again in full
+    good = _secp_copy()
+    good.validate()
+    good.p = SECP256K1.p + 2
+    with pytest.raises(CurveError):
+        good.validate()
+    assert len(calls) == 4

@@ -11,10 +11,15 @@ exercise on secp256k1 where the lucky branches have probability ~2^-256.
 
 import json
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import distinct_keys
+
+import ringmix.mixer as mixer_module
 
 from ringmix import (
     HashVariant,
@@ -388,6 +393,168 @@ def test_state_file_is_versioned_json(pp31, tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(MixerError):
+        load_state(str(path))
+
+
+def _old_bytes(mixer):
+    """The state file as json.dump(indent=2, sort_keys=True) wrote it."""
+    doc = mixer_module._state_doc(mixer)
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+NAMES = st.one_of(
+    st.sampled_from(["", '"', "\\", '\\"', "\x00\x1f\x7f\n\t", "ünï€😀"]),
+    st.text(max_size=12),
+)
+HEX = st.binary(min_size=1, max_size=33).map(bytes.hex)
+
+
+@st.composite
+def ledgers(draw):
+    mixer = Mixer(setup(8, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC))
+    mixer.accounts = draw(st.dictionaries(NAMES, st.integers(0, 10**30),
+                                          max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        mix_id = mixer.mix_create(draw(st.integers(1, 10**6)),
+                                  draw(st.integers(2, 8)))
+        pool = mixer.pools[mix_id]
+        pool.phase = draw(st.sampled_from(Phase))
+        pool.deposits = draw(st.lists(st.tuples(HEX, NAMES), max_size=4))
+        pool.seen_tags = draw(st.sets(st.binary(min_size=1, max_size=33),
+                                      max_size=3))
+        pool.payouts = draw(st.lists(st.tuples(NAMES, HEX), max_size=3))
+        pool.refunds = draw(st.lists(NAMES, max_size=3))
+        pool.balance = draw(st.integers(-5, 10**9))
+    return mixer
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixer=ledgers())
+def test_state_writer_matches_json_dump(mixer, tmp_path_factory):
+    path = tmp_path_factory.mktemp("w") / "state.json"
+    save_state(mixer, str(path))
+    assert path.read_bytes() == _old_bytes(mixer)
+
+
+JSON_DOCS = st.recursive(
+    st.one_of(st.booleans(), st.integers(), NAMES),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(NAMES, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS)
+def test_state_writer_matches_json_dump_on_any_document(doc):
+    out = []
+    mixer_module._write_json(doc, SimpleNamespace(write=out.append))
+    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, None, {"a": None}, {1: "x"}, (1, 2)])
+def test_state_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        mixer_module._write_json(doc, SimpleNamespace(write=lambda text: None))
+
+
+def test_state_writer_edge_ledgers(pp31, rng, tmp_path):
+    path = tmp_path / "state.json"
+    mixer = Mixer(pp31)
+    save_state(mixer, str(path))  # no accounts, no pools
+    assert path.read_bytes() == _old_bytes(mixer)
+    mixer.mix_create(3, 4)  # no deposits, no payouts
+    keys = distinct_keys(pp31, rng, 2)
+    closed = mixer.mix_create(3, 4)
+    for name, pair in zip(["ü\"", ""], keys):
+        mixer.fund(name, 3)
+        mixer.mix_deposit(closed, pair.pk, name)
+    mixer.mix_close(closed)  # refunds
+    save_state(mixer, str(path))
+    assert path.read_bytes() == _old_bytes(mixer)
+    assert json.loads(path.read_text())["pools"][closed]["refunds"] == ["ü\"", ""]
+
+
+def test_failed_save_keeps_old_file(pp31, tmp_path, monkeypatch):
+    mixer = Mixer(pp31)
+    for i in range(mixer_module._FLUSH_EVERY):  # two pieces per account
+        mixer.fund(f"acct-{i:04d}", i)
+    path = tmp_path / "state.json"
+    save_state(mixer, str(path))
+    before = path.read_bytes()
+
+    mixer.fund("late", 1)
+    real = mixer_module._write_json
+    flushed = []
+
+    def failing(doc, fh):
+        def write(text):
+            if flushed:
+                raise OSError("disk full")
+            fh.write(text)
+            fh.flush()
+            flushed.append(text)
+        real(doc, SimpleNamespace(write=write))
+    monkeypatch.setattr(mixer_module, "_write_json", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_state(mixer, str(path))
+    assert len(flushed) == 1
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _valid_doc(pp31, rng):
+    mixer = Mixer(pp31)
+    fill_pool(pp31, mixer, rng)
+    return mixer_module._state_doc(mixer)
+
+
+def _with(doc, change):
+    doc = json.loads(json.dumps(doc))
+    change(doc)
+    return json.dumps(doc)
+
+
+def _pool(doc):
+    return next(iter(doc["pools"].values()))
+
+
+BAD_DOCUMENTS = {
+    "not-json": lambda doc: "{",
+    "truncated": lambda doc: json.dumps(doc, indent=2)[:200],
+    "top-level-list": lambda doc: "[]",
+    "no-pools": lambda doc: _with(doc, lambda d: d.pop("pools")),
+    "pools-list": lambda doc: _with(doc, lambda d: d.update(pools=[])),
+    "bad-phase": lambda doc: _with(doc, lambda d: _pool(d).update(phase="bogus")),
+    "bad-hash": lambda doc: _with(doc, lambda d: d["params"].update(hash="md5")),
+    "insecure-hash": lambda doc: _with(
+        doc, lambda d: d["params"].update(hash="insecure-mult-g")),
+    "ft-on-test-11": lambda doc: _with(
+        doc, lambda d: d["params"].update(curve="test-11")),
+    "unknown-curve": lambda doc: _with(
+        doc, lambda d: d["params"].update(curve="p-256")),
+    "deposit-without-funder": lambda doc: _with(
+        doc, lambda d: _pool(d)["deposits"][0].pop("from")),
+    "tag-not-hex": lambda doc: _with(
+        doc, lambda d: _pool(d).update(seen_tags=["zz"])),
+    "version": lambda doc: _with(doc, lambda d: d.update(version=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_load_state_reports_malformed_file(pp31, rng, tmp_path, name):
+    path = tmp_path / "state.json"
+    path.write_text(BAD_DOCUMENTS[name](_valid_doc(pp31, rng)))
+    with pytest.raises(MixerError, match=re.escape(str(path))):
+        load_state(str(path))
+
+
+def test_load_state_reports_unreadable_file(tmp_path):
+    path = tmp_path / "state.json"
+    with pytest.raises(MixerError, match="No such file"):
+        load_state(str(path))
+    path.write_bytes(b'{"version": 1, "\xff": 0}')
+    with pytest.raises(MixerError, match=re.escape(str(path))):
         load_state(str(path))
 
 
