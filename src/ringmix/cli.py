@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import functools
 import os
 import random
 import sys
@@ -407,13 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs about as much as loading the state file, and
-# an in-process caller may run many commands; parse_args keeps no state.
-_shared_parser = functools.cache(build_parser)
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         pp = _build_params(args)
         return args.func(args, pp)

@@ -15,7 +15,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import distinct_keys
 
@@ -428,12 +428,34 @@ def ledgers(draw):
     return mixer
 
 
+def _edge_ledgers():
+    """No accounts and no pools; then a pool with no deposits or payouts
+    beside a closed pool whose refunds go to awkward names."""
+    pp = setup(8, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC)
+    empty, mixer = Mixer(pp), Mixer(pp)
+    mixer.mix_create(3, 4)
+    closed = mixer.mix_create(3, 4)
+    for name, pair in zip(['ü"', ""], distinct_keys(pp, random.Random(0), 2)):
+        mixer.fund(name, 3)
+        mixer.mix_deposit(closed, pair.pk, name)
+    mixer.mix_close(closed)
+    return empty, mixer
+
+
+EMPTY_LEDGER, EDGE_LEDGER = _edge_ledgers()
+
+
 @settings(max_examples=150, deadline=None)
 @given(mixer=ledgers())
+@example(mixer=EMPTY_LEDGER)
+@example(mixer=EDGE_LEDGER)
 def test_state_writer_matches_json_dump(mixer, tmp_path_factory):
     path = tmp_path_factory.mktemp("w") / "state.json"
     save_state(mixer, str(path))
     assert path.read_bytes() == _old_bytes(mixer)
+    pools = json.loads(path.read_text())["pools"]
+    for mix_id, pool in mixer.pools.items():
+        assert pools[mix_id]["refunds"] == pool.refunds
 
 
 JSON_DOCS = st.recursive(
@@ -456,23 +478,6 @@ def test_state_writer_matches_json_dump_on_any_document(doc):
 def test_state_writer_refuses_other_types(doc):
     with pytest.raises(TypeError):
         mixer_module._write_json(doc, SimpleNamespace(write=lambda text: None))
-
-
-def test_state_writer_edge_ledgers(pp31, rng, tmp_path):
-    path = tmp_path / "state.json"
-    mixer = Mixer(pp31)
-    save_state(mixer, str(path))  # no accounts, no pools
-    assert path.read_bytes() == _old_bytes(mixer)
-    mixer.mix_create(3, 4)  # no deposits, no payouts
-    keys = distinct_keys(pp31, rng, 2)
-    closed = mixer.mix_create(3, 4)
-    for name, pair in zip(["ü\"", ""], keys):
-        mixer.fund(name, 3)
-        mixer.mix_deposit(closed, pair.pk, name)
-    mixer.mix_close(closed)  # refunds
-    save_state(mixer, str(path))
-    assert path.read_bytes() == _old_bytes(mixer)
-    assert json.loads(path.read_text())["pools"][closed]["refunds"] == ["ü\"", ""]
 
 
 def test_failed_save_keeps_old_file(pp31, tmp_path, monkeypatch):
@@ -501,6 +506,22 @@ def test_failed_save_keeps_old_file(pp31, tmp_path, monkeypatch):
     assert len(flushed) == 1
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_save_keeps_mode_and_symlink(pp31, tmp_path):
+    mixer = Mixer(pp31)
+    real = tmp_path / "real.json"
+    save_state(mixer, str(real))
+    real.chmod(0o600)
+    link = tmp_path / "state.json"
+    link.symlink_to(real)
+    mixer.fund("alice", 1)
+    save_state(mixer, str(link))
+    assert link.is_symlink()
+    assert real.stat().st_mode & 0o777 == 0o600
+    assert load_state(str(real)).accounts == {"alice": 1}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["real.json",
+                                                          "state.json"]
 
 
 def _valid_doc(pp31, rng):
