@@ -20,11 +20,10 @@ import random
 import sys
 import time
 
-from .curve import CURVES, CurveError, Point
+from .curve import CURVES, CurveError, Point, RingmixError
 from .hashing import HashVariant
 from .mixer import (
     Mixer,
-    MixerError,
     WithdrawStatus,
     attack_naive_hash,
     attack_tag_reveal,
@@ -55,19 +54,13 @@ EXIT_STATE = 3
 _HASH_FLAGS = {v.value: v for v in HashVariant}
 
 
-class CliError(Exception):
+class CliError(RingmixError):
     """Input problem that maps to the state-error exit code."""
 
 
 def _build_params(args) -> PublicParams:
-    curve = CURVES[args.curve]
-    variant = _HASH_FLAGS[args.hash]
-    try:
-        return setup(
-            128, curve, variant, insecure_override=args.allow_insecure
-        )
-    except UrsError as exc:
-        raise CliError(str(exc)) from None
+    return setup(128, CURVES[args.curve], _HASH_FLAGS[args.hash],
+                 insecure_override=args.allow_insecure)
 
 
 def _rng(args):
@@ -77,11 +70,9 @@ def _rng(args):
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}") from None
+    # Undecodable bytes fail the hex parse that follows, with its message.
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return fh.read()
 
 
 def _message_bytes(args) -> bytes:
@@ -154,10 +145,7 @@ def cmd_sign(args, pp: PublicParams) -> int:
     sk = _load_key(args.key, pp)
     ring = _load_ring(args.ring, pp)
     msg = _message_bytes(args)
-    try:
-        sig = ring_sign(pp, sk, ring, msg, _rng(args))
-    except UrsError as exc:
-        raise CliError(str(exc)) from None
+    sig = ring_sign(pp, sk, ring, msg, _rng(args))
     hexsig = encode_signature(sig).hex()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -238,7 +226,7 @@ def cmd_mix(args, pp: PublicParams) -> int:
             if os.path.exists(pk_hex):
                 pk_hex = _read_text(pk_hex).strip()
             try:
-                pk = Point.decode(pp.curve, bytes.fromhex(pk_hex))
+                pk = Point.decode(mixer.pp.curve, bytes.fromhex(pk_hex))
             except (ValueError, CurveError) as exc:
                 raise CliError(f"bad public key: {exc}") from None
             count = mixer.mix_deposit(args.mix, pk, getattr(args, "from"))
@@ -284,10 +272,7 @@ def cmd_attack(args, pp: PublicParams) -> int:
         return EXIT_OK
     # tag-reveal
     sks = [_load_key(path, pp) for path in args.keys.split(",")]
-    try:
-        survivors = attack_tag_reveal(pp, ring, sig, msg, sks)
-    except UrsError as exc:
-        raise CliError(str(exc)) from None
+    survivors = attack_tag_reveal(pp, ring, sig, msg, sks)
     print("anonymity-set " + ",".join(str(i) for i in survivors))
     return EXIT_OK
 
@@ -407,14 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The one place a failure becomes exit 3.  Any other exception is a
+    # bug and keeps its traceback.
     args = build_parser().parse_args(argv)
     try:
-        pp = _build_params(args)
-        return args.func(args, pp)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.func(args, _build_params(args))
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_STATE
-    except MixerError as exc:
+    except RingmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
 

@@ -29,7 +29,11 @@ except ImportError:  # gmpy2 is optional; stdlib ints run the same code
         return pow(a, -1, m)
 
 
-class CurveError(Exception):
+class RingmixError(Exception):
+    """Root of the package's own exceptions; the CLI maps them to exit 3."""
+
+
+class CurveError(RingmixError):
     """Base class for field and curve arithmetic failures."""
 
 

@@ -29,17 +29,18 @@ from .curve import (
     CurveParams,
     FieldElement,
     Point,
+    RingmixError,
     Scalar,
     chi,
     sqrt_mod,
 )
 
 
-class HashToCurveError(Exception):
+class HashToCurveError(RingmixError):
     """No curve point could be produced for the input."""
 
 
-class UnsupportedCurveError(Exception):
+class UnsupportedCurveError(RingmixError):
     """Curve does not meet the preconditions of the requested map."""
 
 

@@ -29,15 +29,14 @@ import shutil
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .curve import CurveParams, CURVES, Point, Scalar
-from .hashing import HashVariant, UnsupportedCurveError, insecure_hash_exponent
+from .curve import CurveParams, CURVES, Point, RingmixError, Scalar
+from .hashing import HashVariant, insecure_hash_exponent
 from .urs import (
     PublicParams,
     Ring,
     RingSizeMismatchError,
     Signature,
     SignatureFormatError,
-    UrsError,
     decode_signature,
     ring_message_bytes,
     ring_message_point,
@@ -48,7 +47,7 @@ from .urs import (
 STATE_VERSION = 1
 
 
-class MixerError(Exception):
+class MixerError(RingmixError):
     """Ledger or pool operation failed."""
 
 
@@ -413,10 +412,10 @@ def load_state(path: str) -> Mixer:
             return _mixer_from_doc(json.load(fh))
     except OSError as exc:
         raise MixerError(f"{path}: {exc.strerror}") from None
-    except MixerError as exc:
+    except RingmixError as exc:
         raise MixerError(f"{path}: {exc}") from None
-    except (ValueError, KeyError, TypeError, AttributeError, UrsError,
-            UnsupportedCurveError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise MixerError(
             f"{path}: malformed state file ({type(exc).__name__}: {exc})"
         ) from None

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator
 from .curve import (
     CurveParams,
     Point,
+    RingmixError,
     Scalar,
     digest,
     dual_scalar_mul_batch,
@@ -41,7 +42,7 @@ from .curve import (
 from .hashing import FtConstants, HashVariant, hash_to_curve, hash_to_scalar
 
 
-class UrsError(Exception):
+class UrsError(RingmixError):
     """Base class for signing-protocol failures."""
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line scenarios driven through subprocesses."""
 
+import errno
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ringmix
+from ringmix import cli
 
 # The directory holding the ringmix package this process imported.  The
 # child gets it on PYTHONPATH as an absolute path, so it runs the same code
@@ -19,17 +21,21 @@ PACKAGE_ROOT = str(Path(ringmix.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, cwd=None):
+    """Run ringmix in a child process.  No invocation may end in a
+    traceback: every failure has an exit code and a one-line error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
     )
-    return subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "ringmix", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+    assert "Traceback" not in res.stderr, res.stderr
+    return res
 
 
 @pytest.fixture
@@ -181,6 +187,19 @@ def test_mix_deposit_into_full_pool_fails(workdir):
                   "--pk", "carol.pk", "--from", "carol", cwd=workdir)
     assert res.returncode == 3
     assert "not accepting deposits" in res.stderr
+
+
+def test_mix_deposit_decodes_key_on_the_ledger_curve(workdir):
+    make_keys(workdir, ["alice", "bob"])
+    mix = ("--state", "st.json", "mix")
+    run_cli("--curve", "test-31", *mix, "create", "--denomination", "1",
+            "--capacity", "2", cwd=workdir)
+    run_cli(*mix, "fund", "--account", "a", "--amount", "1", cwd=workdir)
+    # No --curve: the flag says secp256k1, the ledger says test-31.
+    res = run_cli(*mix, "deposit", "--mix", "mix-0001", "--pk", "alice.pk",
+                  "--from", "a", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "deposits 1/2\n"
 
 
 def test_mix_ring_on_closed_pool_is_state_error(workdir):
@@ -366,6 +385,83 @@ def test_missing_ring_file_is_state_error(workdir):
                   "--key", "alice.sk", "--ring", "nope.txt", "--msg", "x",
                   cwd=workdir)
     assert res.returncode == 3
+
+
+def _two_keys(workdir):
+    make_keys(workdir, ["alice", "bob"])
+
+
+def _deep_state_file(workdir):
+    (workdir / "st.json").write_text("[" * 100_000)
+
+
+def _undecodable_ring_file(workdir):
+    make_keys(workdir, ["alice", "bob"])
+    (workdir / "ring.txt").write_bytes(b"\xff\xfe\n")
+
+
+SIGN = ("--curve", "test-31", "--seed", "9", "sign", "--key", "alice.sk",
+        "--ring", "ring.txt", "--msg", "x")
+STATE_ERRORS = {
+    "ft-hash-on-test-11": (
+        None, ("--curve", "test-11", "mix", "status", "--mix", "x"),
+        "error: map requires p = 7 mod 12"),
+    "lock-in-missing-dir": (
+        None, ("--curve", "test-31", "--state", "missing/dir/x.json",
+               "mix", "create", "--denomination", "1", "--capacity", "2"),
+        "error: missing/dir/x.json.lock: No such file or directory"),
+    "degenerate-tag": (
+        None, ("--curve", "test-11", "--hash", "try-inc", "--seed", "1",
+               "bench", "--sizes", "2,4,8,12"),
+        "error: degenerate tag"),
+    "keygen-out-missing-dir": (
+        None, ("--curve", "test-31", "--seed", "1", "keygen",
+               "--out", "missing/dir/k"),
+        "error: missing/dir/k.sk: No such file or directory"),
+    "sign-out-missing-dir": (
+        _two_keys, SIGN + ("--out", "missing/x"),
+        "error: missing/x: No such file or directory"),
+    "state-is-a-directory": (
+        None, ("--curve", "test-31", "--state", ".", "mix", "status",
+               "--mix", "x"),
+        "error: .: Is a directory"),
+    "deeply-nested-state-file": (
+        _deep_state_file, ("--curve", "test-31", "--state", "st.json", "mix",
+                           "status", "--mix", "x"),
+        "error: st.json: malformed state file (RecursionError"),
+    "undecodable-ring-file": (
+        _undecodable_ring_file, SIGN,
+        "error: ring.txt:1: non-hexadecimal number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ERRORS))
+def test_state_and_input_errors_exit_3_with_one_line(workdir, name):
+    prepare, args, start = STATE_ERRORS[name]
+    if prepare:
+        prepare(workdir)
+    res = run_cli(*args, cwd=workdir)
+    assert res.returncode == 3
+    assert res.stderr.startswith(start)
+    assert res.stderr.count("\n") == 1
+
+
+def test_os_error_without_a_file_name(workdir, monkeypatch, capsys):
+    def disk_full(mixer, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(cli, "save_state", disk_full)
+    state = str(workdir / "st.json")
+    assert cli.main(["--curve", "test-31", "--state", state, "mix", "create",
+                     "--denomination", "1", "--capacity", "2"]) == 3
+    assert capsys.readouterr().err == "error: No space left on device\n"
+
+
+def test_every_package_error_has_the_common_root():
+    errors = [obj for obj in vars(ringmix).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)]
+    assert len(errors) > 10
+    for exc_type in errors + [cli.CliError]:
+        assert issubclass(exc_type, ringmix.RingmixError), exc_type
 
 
 def test_usage_error_exit_code(workdir):

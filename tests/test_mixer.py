@@ -559,6 +559,7 @@ BAD_DOCUMENTS = {
     "tag-not-hex": lambda doc: _with(
         doc, lambda d: _pool(d).update(seen_tags=["zz"])),
     "version": lambda doc: _with(doc, lambda d: d.update(version=2)),
+    "deep-nesting": lambda doc: "[" * 100_000,
 }
 
 
@@ -577,6 +578,98 @@ def test_load_state_reports_unreadable_file(tmp_path):
     path.write_bytes(b'{"version": 1, "\xff": 0}')
     with pytest.raises(MixerError, match=re.escape(str(path))):
         load_state(str(path))
+
+
+def _fuzz_ledger_text():
+    """A state file using every field: a published pool with one payout,
+    a closed pool with a refund, and an empty filling pool."""
+    pp = setup(128, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC)
+    rng = random.Random(0)
+    mixer = Mixer(pp)
+    mix_id, keys = fill_pool(pp, mixer, rng)
+    assert withdraw_as(pp, mixer, mix_id, keys[0], "pay-ü", rng) is (
+        WithdrawStatus.ACCEPTED)
+    closed = mixer.mix_create(2, 3)
+    mixer.fund("Zoë", 2)
+    mixer.mix_deposit(closed, keys[1].pk, "Zoë")
+    mixer.mix_close(closed)
+    mixer.mix_create(1, 2)
+    out = []
+    mixer_module._write_json(mixer_module._state_doc(mixer),
+                             SimpleNamespace(write=out.append))
+    return "".join(out)
+
+
+FUZZ_LEDGER = _fuzz_ledger_text()
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 2**70),
+        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+        st.sampled_from(["", "zz", "02" * 33, "test-11", "p-256", "try-inc",
+                         "insecure-mult-g", "closed", "ring-published"]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3)),
+    max_leaves=8,
+)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _node_paths(child, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(path, value):
+    doc = json.loads(FUZZ_LEDGER)
+    if not path:
+        return json.dumps(value).encode()
+    _node(doc, path[:-1])[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def mutated_ledgers(draw):
+    """The fuzz ledger with one node replaced by a random JSON value, one
+    dict key deleted, or its bytes truncated."""
+    how = draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if how == "truncate":
+        data = FUZZ_LEDGER.encode()
+        return data[:draw(st.integers(0, len(data) - 1))]
+    doc = json.loads(FUZZ_LEDGER)
+    paths = list(_node_paths(doc))
+    if how == "replace":
+        return _replaced(draw(st.sampled_from(paths)), draw(JSON_VALUES))
+    path = draw(st.sampled_from(
+        [p for p in paths if p and isinstance(_node(doc, p[:-1]), dict)]))
+    del _node(doc, path[:-1])[path[-1]]
+    return json.dumps(doc).encode()
+
+
+# Random replacements rarely hit these two, which fail inside setup()
+# with errors that are not MixerErrors.
+@example(data=_replaced(("params", "curve"), "test-11"))
+@example(data=_replaced(("params", "hash"), "insecure-mult-g"))
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_ledgers())
+def test_load_state_fuzz_raises_only_mixer_error(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_bytes(data)
+    try:
+        loaded = load_state(str(path))
+    except MixerError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert isinstance(loaded, Mixer)
 
 
 # ---------------------------------------------------------------------------
