@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent commit in alternating pairs.
+
+Exports the parent commit (``git archive``) into a temporary directory,
+then runs ``perfbench/run.py`` once per side for each of ten seeds and
+each workload of BENCHMARK.json, for its ``run_seconds``, one process at a
+time.  Odd seeds run the parent first and even seeds the change first, so
+a host that drifts over the session shifts both sides alike.  The change is the working tree as it stands, uncommitted edits
+included.  Writes one JSON file: every run's environment and result line,
+and per workload and gated metric the median and quartiles of each side,
+the relative change of the medians and the number of pairs in which the
+change was better.
+
+    python3 scripts/bench_pairs.py --parent HEAD --out BENCH_N.json
+
+Standard library only.  Both sides run with PYTHONDONTWRITEBYTECODE=1, so
+neither imports from bytecode that the other had to compile.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # a claimed gain must win at least nine pairs in ten
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def export(rev: str, dest: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:  # pragma: no cover - Python without extraction filters
+            tar.extractall(dest)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
+                           text=True)
+    lines = child.stdout.splitlines()
+    prefix = "ringmix benchmark "
+    environment = next((json.loads(line[len(prefix):]) for line in lines
+                        if line.startswith(prefix)), None)
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "error": child.stderr.strip()[-2000:]}
+    return {"environment": environment, "result": result,
+            "exit": child.returncode}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"runs": len(values), "median": round(statistics.median(values), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict] = {}
+        for r in runs:
+            if r["workload"] == workload and "metrics" in r["result"]:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = {s: p for s, p in pairs.items() if len(p) == 2}
+        if not pairs:
+            continue
+        summary[workload] = {}
+        for name, better in metrics.items():
+            parent = [p["parent"][name]["value"] for p in pairs.values()]
+            change = [p["change"][name]["value"] for p in pairs.values()]
+            sign = -1 if better == "lower" else 1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            mp, mc = statistics.median(parent), statistics.median(change)
+            summary[workload][name] = {
+                "parent": spread(parent),
+                "change": spread(change),
+                "median_change": round((mc - mp) / mp, 4) if mp else None,
+                "pairs_change_better": f"{wins}/{len(pairs)}",
+            }
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="commit to compare the working tree against")
+    parser.add_argument("--workdir", default=None,
+                        help="where the parent is exported (default: system "
+                             "temporary directory)")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    parent_commit = git("rev-parse", args.parent).decode().strip()
+    parent_tree = tempfile.mkdtemp(prefix="bench-parent-", dir=args.workdir)
+    runs: list[dict] = []
+    try:
+        export(parent_commit, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for seed in range(1, PAIRS + 1):
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for workload in (w["name"] for w in spec["workloads"]):
+                for side in order:
+                    rec = run_once(trees[side], workload, seed, seconds)
+                    runs.append({"seq": len(runs) + 1, "side": side,
+                                 "workload": workload, "seed": seed, **rec})
+                    print(f"{len(runs):3d} {workload} seed {seed} {side}: "
+                          f"correct={rec['result'].get('correct')}", flush=True)
+    finally:
+        shutil.rmtree(parent_tree, ignore_errors=True)
+
+    doc = {
+        "what": "ringmix benchmark at the parent commit and at this change, "
+                "in alternating pairs",
+        "parent_commit": parent_commit,
+        "command": f"python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {seconds:g} --trace 0",
+        "host": f"{platform.platform()}, {os.cpu_count()} CPUs, Python "
+                f"{platform.python_version()}, PYTHONDONTWRITEBYTECODE=1; "
+                "one run at a time, the parent exported by git archive",
+        "order": "Odd seeds run the parent first, even seeds the change first.",
+        "summary": summarize(runs, metrics),
+        "runs": runs,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    failed = [r["seq"] for r in runs if not r["result"].get("correct")]
+    if failed:
+        print(f"runs not correct: {failed}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

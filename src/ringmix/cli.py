@@ -14,6 +14,7 @@ Without --seed, key material comes from the system entropy pool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import os
 import random
@@ -190,19 +191,12 @@ def cmd_link(args, pp: PublicParams) -> int:
 # Mix commands
 
 
-class _StateLock:
-    def __init__(self, path: str):
-        self._path = path + ".lock"
-        self._fh = None
-
-    def __enter__(self):
-        self._fh = open(self._path, "w")
-        fcntl.flock(self._fh, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        fcntl.flock(self._fh, fcntl.LOCK_UN)
-        self._fh.close()
+@contextlib.contextmanager
+def _state_lock(path: str):
+    # Closing the file releases the lock.
+    with open(path + ".lock", "w") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
 
 
 # These change nothing, so an existing state file is not rewritten.  A
@@ -211,7 +205,9 @@ _READ_ONLY_MIX = ("ring", "message", "status")
 
 
 def cmd_mix(args, pp: PublicParams) -> int:
-    with _StateLock(args.state):
+    if os.path.isdir(args.state):  # refused before the lock file is made
+        raise CliError(f"{args.state}: Is a directory")
+    with _state_lock(args.state):
         existed = os.path.exists(args.state)
         mixer = load_state(args.state) if existed else Mixer(pp)
         rc = EXIT_OK
@@ -279,9 +275,8 @@ def cmd_attack(args, pp: PublicParams) -> int:
 
 def cmd_bench(args, pp: PublicParams) -> int:
     rng = _rng(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
     print(f"{'ring':>6} {'sign_ms':>10} {'verify_ms':>10} {'sig_bytes':>10}")
-    for size in sizes:
+    for size in args.sizes:
         keys = []
         seen = set()
         attempts = 0
@@ -306,6 +301,14 @@ def cmd_bench(args, pp: PublicParams) -> int:
         print(f"{size:>6} {(t1 - t0) * 1000:>10.2f} {(t2 - t1) * 1000:>10.2f} "
               f"{len(blob):>10}")
     return EXIT_OK
+
+
+def _ring_sizes(text: str) -> list[int]:
+    parts = text.split(",")
+    if not all(s.strip().isdecimal() and int(s) >= 2 for s in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ring sizes of at least 2, got {text!r}")
+    return [int(s) for s in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="sign/verify timings and sizes")
-    p.add_argument("--sizes", default="2,4,8,16")
+    p.add_argument("--sizes", type=_ring_sizes, default="2,4,8,16",
+                   help="comma-separated ring sizes, each at least 2")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -57,11 +57,38 @@ class PointDecodeError(CurveError):
     """Byte string is not a valid point encoding."""
 
 
+class _Frozen:
+    """Immutable slotted value: built from its slots in order, and equal,
+    hashed and shown by their values.  Subclasses give ``__init__`` its
+    signature and override whatever else they need."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self.__slots__))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
 # ---------------------------------------------------------------------------
 # Residues
 
 
-class _Residue:
+class _Residue(_Frozen):
     """Integer residue with an attached modulus.
 
     Subclasses are not interchangeable: operations require the exact same
@@ -75,9 +102,6 @@ class _Residue:
             raise ValueError("modulus must be at least 2")
         object.__setattr__(self, "value", int(value) % modulus)
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _peer(self, other):
         # None means "not our kind of operand": the operator returns
@@ -231,8 +255,8 @@ def _is_probable_prime(m: int) -> bool:
     return True
 
 
-# (p, a, b, gx, gy, n) of every parameter set that passed validate().
-# Keyed by value, not by object or curve_id.
+# (p, a, b, gx, gy, n) of the built-in curves and of every parameter set
+# that passed validate().  Keyed by value, not by object or curve_id.
 _VALIDATED: set[tuple] = set()
 
 
@@ -374,7 +398,7 @@ def _to_affine(Js, p):
     return out
 
 
-class Point:
+class Point(_Frozen):
     """Affine curve point, or the point at infinity (the group identity).
 
     Construction rejects off-curve coordinates, so any Point in circulation
@@ -388,19 +412,12 @@ class Point:
         y %= curve.p
         if (y * y - curve.rhs(x)) % curve.p != 0:
             raise OffCurveError(f"({x}, {y}) not on {curve.curve_id}")
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "x", int(x))
-        object.__setattr__(self, "y", int(y))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
+        super().__init__(curve, int(x), int(y))
 
     @classmethod
     def infinity(cls, curve: CurveParams) -> "Point":
         pt = object.__new__(cls)
-        object.__setattr__(pt, "curve", curve)
-        object.__setattr__(pt, "x", None)
-        object.__setattr__(pt, "y", None)
+        _Frozen.__init__(pt, curve, None, None)
         return pt
 
     @classmethod
@@ -557,40 +574,6 @@ def _wnaf(k):
     return out
 
 
-def _cube_root_of_unity(m):
-    return next(r for r in (pow(c, (m - 1) // 3, m) for c in range(2, m)) if r != 1)
-
-
-def _derive_glv(curve):
-    """(beta, lam, a1, b1, a2, b2) for the endomorphism (x, y) -> (beta*x, y).
-
-    It exists when a = 0, p = 1 mod 3 and n is a prime = 1 mod 3; it then
-    acts on the group as multiplication by lam, a cube root of unity mod n,
-    checked here as lam*g == (beta*gx, gy).  (a1, b1) and (a2, b2) are short
-    vectors of the lattice {(x, y): x + y*lam = 0 mod n}, found by extended
-    Euclid on (n, lam) (Guide to ECC, Algorithm 3.74).
-    """
-    p, n = curve.p, curve.n
-    if curve.a or p % 3 != 1 or n % 3 != 1 or not _is_probable_prime(n):
-        return None
-    beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(n)
-    lg = lam * curve.g  # literal chain: the curve has no split yet
-    if lg.x != beta * curve.gx % p:
-        beta = beta * beta % p
-    if (lg.x, lg.y) != (beta * curve.gx % p, curve.gy):
-        raise CurveError(f"{curve.curve_id}: lam*g is not (beta*gx, gy)")
-    # remainders r_i = s_i*n + t_i*lam; stop at the last r_i >= sqrt(n)
-    r0, r1, t0, t1 = n, lam, 0, 1
-    while r1 * r1 >= n:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    q = r0 // r1
-    r2, t2 = r0 - q * r1, t0 - q * t1
-    if r0 * r0 + t0 * t0 > r2 * r2 + t2 * t2:
-        r0, t0 = r2, t2
-    return beta, lam, r1, -t1, r0, -t0
-
-
 def _glv_split(k, glv, n):
     # k = k1 + k2*lam mod n with |k1|, |k2| about sqrt(n).
     _, _, a1, b1, a2, b2 = glv
@@ -599,7 +582,6 @@ def _glv_split(k, glv, n):
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-_GLV: dict[CurveParams, tuple] = {}
 _G_TABLES: dict[CurveParams, list] = {}  # g's odd multiples, built on first use
 
 
@@ -725,12 +707,21 @@ CURVES = {
     c.curve_id: c for c in (SECP256K1, TEST_CURVE_31, TEST_CURVE_11)
 }
 
-for _curve in CURVES.values():
-    _curve.validate()
-    _glv = _derive_glv(_curve)
-    if _glv:
-        _GLV[_curve] = _glv
-del _curve, _glv
+# Published parameters, checked in full by the test suite rather than at
+# every import; any other parameter set is still checked on first use.
+_VALIDATED.update((c.p, c.a, c.b, c.gx, c.gy, c.n) for c in CURVES.values())
+
+# secp256k1's endomorphism (x, y) -> (beta*x, y) is multiplication by lam;
+# (a1, b1), (a2, b2) is a short basis of {(x, y): x + y*lam = 0 mod n}.
+# tests/test_multi_mul.py derives all six (Guide to ECC, Algorithm 3.74).
+_GLV: dict[CurveParams, tuple] = {SECP256K1: (
+    0x851695D49A83F8EF919BB86153CBCB16630FB68AED0A766A3EC693D68E6AFA40,  # beta
+    0xAC9C52B33FA3CF1F5AD9E3FD77ED9BA4A880B9FC8EC739C2E0CFC810B51283CE,  # lam
+    0xE4437ED6010E88286F547FA90ABFE4C3,  # a1
+    -0x3086D221A7D46BCDE86C90E49284EB15,  # b1
+    0x3086D221A7D46BCDE86C90E49284EB15,  # a2
+    0x114CA50F7A8E2F3F657C1108D9D44CFD8,  # b2
+)}
 
 
 def digest(data: bytes) -> bytes:

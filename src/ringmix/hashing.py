@@ -21,7 +21,6 @@ independent even on identical message bytes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 import hashlib
 
@@ -31,6 +30,7 @@ from .curve import (
     Point,
     RingmixError,
     Scalar,
+    _Frozen,
     chi,
     sqrt_mod,
 )
@@ -106,8 +106,7 @@ def try_and_increment(msg: bytes, curve: CurveParams) -> Point:
 # Fouque-Tibouchi map
 
 
-@dataclass(frozen=True)
-class FtConstants:
+class FtConstants(_Frozen):
     """Per-curve constants for the Fouque-Tibouchi encoding.
 
     sqrt_m3 is the canonical square root of -3 mod p and c1 equals
@@ -115,8 +114,10 @@ class FtConstants:
     p = 3 mod 4, i.e. p = 7 mod 12.
     """
 
-    sqrt_m3: int
-    c1: int
+    __slots__ = ("sqrt_m3", "c1")
+
+    def __init__(self, sqrt_m3: int, c1: int):
+        super().__init__(sqrt_m3, c1)
 
     @staticmethod
     @lru_cache(maxsize=None)

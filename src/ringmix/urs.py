@@ -28,7 +28,6 @@ and the commitment pairs a_1, b_1, ..., a_n, b_n in transcript encoding
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .curve import (
@@ -36,6 +35,7 @@ from .curve import (
     Point,
     RingmixError,
     Scalar,
+    _Frozen,
     digest,
     dual_scalar_mul_batch,
 )
@@ -70,14 +70,14 @@ class RingSizeMismatchError(SignatureFormatError):
 # Parameters and keys
 
 
-@dataclass(frozen=True)
-class PublicParams:
+class PublicParams(_Frozen):
     """Everything verifiers share: curve, point-hash choice, scalar hash."""
 
-    security_bits: int
-    curve: CurveParams
-    h_variant: HashVariant
-    insecure_override: bool = False
+    __slots__ = ("security_bits", "curve", "h_variant", "insecure_override")
+
+    def __init__(self, security_bits: int, curve: CurveParams,
+                 h_variant: HashVariant, insecure_override: bool = False):
+        super().__init__(security_bits, curve, h_variant, insecure_override)
 
 
 def setup(security_bits: int, curve: CurveParams, h_variant: HashVariant,
@@ -102,10 +102,11 @@ def setup(security_bits: int, curve: CurveParams, h_variant: HashVariant,
     )
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    sk: Scalar
-    pk: Point
+class KeyPair(_Frozen):
+    __slots__ = ("sk", "pk")
+
+    def __init__(self, sk: Scalar, pk: Point):
+        super().__init__(sk, pk)
 
 
 def ring_gen(pp: PublicParams, rng) -> KeyPair:
@@ -122,7 +123,7 @@ def ring_gen(pp: PublicParams, rng) -> KeyPair:
 # Rings
 
 
-class Ring:
+class Ring(_Frozen):
     """Canonicalized ring: members sorted by compressed encoding, no dups.
 
     Any input ordering of the same keys yields the same Ring, the same
@@ -149,16 +150,8 @@ class Ring:
             raise RingError("duplicate ring member")
         order = sorted(range(len(pks)), key=lambda i: encoded[i])
         members = tuple(pks[i] for i in order)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(
-            self, "canonical_bytes", b"".join(encoded[i] for i in order)
-        )
-        object.__setattr__(
-            self, "_positions", {pk: idx for idx, pk in enumerate(members)}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ring is immutable")
+        super().__init__(members, b"".join(encoded[i] for i in order),
+                         {pk: idx for idx, pk in enumerate(members)})
 
     @property
     def curve(self) -> CurveParams:
@@ -206,28 +199,23 @@ def canonical_ring(pks: Iterable[Point]) -> Ring:
 # Signatures
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(_Frozen):
     """The linkability handle tau = sk * H(m || R); on curve, never infinity."""
 
-    point: Point
+    __slots__ = ("point",)
 
-    def __post_init__(self):
-        if self.point.is_infinity:
+    def __init__(self, point: Point):
+        if point.is_infinity:
             raise UrsError("tag cannot be the identity point")
+        super().__init__(point)
 
 
-@dataclass(frozen=True)
-class Signature:
-    tau: Tag
-    cs: tuple[Scalar, ...]
-    ts: tuple[Scalar, ...]
-    ring_hash: bytes
-    msg_hash: bytes
+class Signature(_Frozen):
+    __slots__ = ("tau", "cs", "ts", "ring_hash", "msg_hash")
 
-    @property
-    def ring_size(self) -> int:
-        return len(self.cs)
+    def __init__(self, tau: Tag, cs: tuple[Scalar, ...], ts: tuple[Scalar, ...],
+                 ring_hash: bytes, msg_hash: bytes):
+        super().__init__(tau, cs, ts, ring_hash, msg_hash)
 
 
 class LinkResult(enum.Enum):
@@ -367,10 +355,11 @@ def link(s1: Signature, s2: Signature) -> LinkResult:
 # Equal-discrete-log proofs (the two-generator Schnorr building block)
 
 
-@dataclass(frozen=True)
-class DleqProof:
-    c: Scalar
-    t: Scalar
+class DleqProof(_Frozen):
+    __slots__ = ("c", "t")
+
+    def __init__(self, c: Scalar, t: Scalar):
+        super().__init__(c, t)
 
 
 def _dleq_challenge(curve: CurveParams, g1, g2, y1, y2, a, b) -> Scalar:

@@ -446,6 +446,27 @@ def test_state_and_input_errors_exit_3_with_one_line(workdir, name):
     assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("sizes", ["2,x", "", "1,4", "4,0"])
+def test_bad_bench_sizes_are_usage_errors(workdir, sizes):
+    res = run_cli("--curve", "test-31", "--seed", "1", "bench",
+                  "--sizes", sizes, cwd=workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--sizes" in errors[0]
+
+
+def test_directory_as_state_file_leaves_no_lock_file(workdir):
+    (workdir / "ledger").mkdir()
+    for state in (".", "ledger"):
+        res = run_cli("--curve", "test-31", "--state", state, "mix", "create",
+                      "--denomination", "1", "--capacity", "2", cwd=workdir)
+        assert res.returncode == 3
+        assert res.stderr == f"error: {state}: Is a directory\n"
+    assert sorted(p.name for p in workdir.iterdir()) == ["ledger"]
+    assert not list((workdir / "ledger").iterdir())
+
+
 def test_os_error_without_a_file_name(workdir, monkeypatch, capsys):
     def disk_full(mixer, path):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -364,9 +364,14 @@ def test_codec_roundtrip_sampled_secp():
 # parameters
 
 
-def test_builtin_curves_validate():
+def test_builtin_curves_validate(monkeypatch):
+    # The import trusts the built-in parameter sets; this is their check.
+    monkeypatch.setattr(curve_module, "_VALIDATED", set())
+    calls = _count_prime_tests(monkeypatch)
     for curve in (SECP256K1, TEST_CURVE_31, TEST_CURVE_11):
         curve.validate()
+    assert calls == [SECP256K1.p, 31, 11]
+    assert len(curve_module._VALIDATED) == 3
 
 
 def test_brute_force_group_orders():

@@ -344,6 +344,26 @@ def test_published_ring_is_decoded_once_and_not_persisted(pp31, tmp_path):
     assert path.read_bytes() == before
 
 
+def test_pool_equality_covers_the_persisted_fields_only(pp31):
+    a = mixer_module.MixPool("mix-0001", 1, 2)
+    b = mixer_module.MixPool(mix_id="mix-0001", denomination=1, capacity=2,
+                             phase=Phase.FILLING, balance=0)
+    assert a == b and a.deposits is not b.deposits  # fresh defaults
+    b._ring = canonical_ring(k.pk for k in distinct_keys(
+        pp31, random.Random(0), 2))
+    assert a == b
+    for name, value in (("mix_id", "mix-0002"), ("denomination", 2),
+                        ("capacity", 3), ("phase", Phase.CLOSED),
+                        ("deposits", [("02", "x")]), ("seen_tags", {b"t"}),
+                        ("payouts", [("a", "74")]), ("refunds", ["x"]),
+                        ("balance", 1)):
+        c = mixer_module.MixPool("mix-0001", 1, 2)
+        setattr(c, name, value)
+        assert c != a, name
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 # ---------------------------------------------------------------------------
 # state file
 

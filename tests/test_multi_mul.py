@@ -18,7 +18,13 @@ from ringmix import (
     TEST_CURVE_11,
     TEST_CURVE_31,
 )
-from ringmix.curve import _GLV, _glv_split, dual_scalar_mul_batch, multi_mul
+from ringmix.curve import (
+    _GLV,
+    _glv_split,
+    _is_probable_prime,
+    dual_scalar_mul_batch,
+    multi_mul,
+)
 
 CURVES = [SECP256K1, TEST_CURVE_31, TEST_CURVE_11]
 
@@ -154,6 +160,45 @@ def test_batch_rejects_mixed_curves():
 
 # ---------------------------------------------------------------------------
 # the GLV split
+
+
+def _cube_root_of_unity(m):
+    return next(r for r in (pow(c, (m - 1) // 3, m) for c in range(2, m))
+                if r != 1)
+
+
+def derive_glv(curve):
+    """(beta, lam, a1, b1, a2, b2) for the endomorphism (x, y) -> (beta*x, y).
+
+    It exists when a = 0, p = 1 mod 3 and n is a prime = 1 mod 3; it then
+    acts on the group as multiplication by lam, a cube root of unity mod n,
+    matched to beta by lam*g == (beta*gx, gy) on the oracle.  (a1, b1) and
+    (a2, b2) are short vectors of the lattice {(x, y): x + y*lam = 0 mod n},
+    found by extended Euclid on (n, lam) (Guide to ECC, Algorithm 3.74).
+    """
+    p, n = curve.p, curve.n
+    if curve.a or p % 3 != 1 or n % 3 != 1 or not _is_probable_prime(n):
+        return None
+    beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(n)
+    lg = oracle_mul(lam, curve.g)
+    if lg.x != beta * curve.gx % p:
+        beta = beta * beta % p
+    assert (lg.x, lg.y) == (beta * curve.gx % p, curve.gy)
+    # remainders r_i = s_i*n + t_i*lam; stop at the last r_i >= sqrt(n)
+    r0, r1, t0, t1 = n, lam, 0, 1
+    while r1 * r1 >= n:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    q = r0 // r1
+    r2, t2 = r0 - q * r1, t0 - q * t1
+    if r0 * r0 + t0 * t0 > r2 * r2 + t2 * t2:
+        r0, t0 = r2, t2
+    return beta, lam, r1, -t1, r0, -t0
+
+
+def test_pinned_glv_constants_match_their_derivation():
+    assert derive_glv(SECP256K1) == _GLV[SECP256K1]
+    assert derive_glv(TEST_CURVE_31) is None and derive_glv(TEST_CURVE_11) is None
 
 
 def test_glv_only_on_secp256k1():

@@ -17,10 +17,13 @@ import pytest
 from conftest import distinct_keys
 
 from ringmix import (
+    DleqProof,
     HashVariant,
     InsecureVariantError,
+    KeyPair,
     LinkResult,
     Point,
+    PublicParams,
     Ring,
     RingError,
     RingSizeMismatchError,
@@ -67,6 +70,23 @@ def test_setup_allows_insecure_with_override():
 def test_setup_rejects_ft_on_unsupported_curve():
     with pytest.raises(UnsupportedCurveError):
         setup(8, TEST_CURVE_11, HashVariant.FT_DETERMINISTIC)
+
+
+def test_value_types_compare_hash_and_stay_frozen(pp31, rng):
+    assert PublicParams(8, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC) == pp31
+    pair = ring_gen(pp31, rng)
+    same = KeyPair(sk=pair.sk, pk=pair.pk)
+    assert same == pair and hash(same) == hash(pair) and same is not pair
+    assert KeyPair(pair.sk, -pair.pk) != pair
+    assert DleqProof(pair.sk, pair.sk) != KeyPair(pair.sk, pair.sk)
+    assert repr(Tag(pair.pk)) == f"Tag(point={pair.pk!r})"
+    for value, field in ((pp31, "curve"), (pair, "sk"), (Tag(pair.pk), "point")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, field, None)
+    with pytest.raises(UrsError, match="identity"):
+        Tag(Point.infinity(TEST_CURVE_31))
+    with pytest.raises(TypeError):
+        DleqProof(pair.sk)
 
 
 def test_setup_desk_scale_params(pp31):
