@@ -33,11 +33,9 @@ from .mixer import (
     withdraw_message,
 )
 from .urs import (
-    LinkResult,
     PublicParams,
     Ring,
     UrsError,
-    canonical_ring,
     decode_signature,
     encode_signature,
     link,
@@ -52,15 +50,13 @@ EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_STATE = 3
 
-_HASH_FLAGS = {v.value: v for v in HashVariant}
-
 
 class CliError(RingmixError):
     """Input problem that maps to the state-error exit code."""
 
 
 def _build_params(args) -> PublicParams:
-    return setup(128, CURVES[args.curve], _HASH_FLAGS[args.hash],
+    return setup(128, CURVES[args.curve], HashVariant(args.hash),
                  insecure_override=args.allow_insecure)
 
 
@@ -77,14 +73,13 @@ def _read_text(path: str) -> str:
 
 
 def _message_bytes(args) -> bytes:
-    if getattr(args, "msg_hex", None):
-        try:
-            return bytes.fromhex(args.msg_hex)
-        except ValueError:
-            raise CliError("--msg-hex is not valid hex") from None
-    if args.msg is None:
-        raise CliError("a message is required (--msg or --msg-hex)")
-    return args.msg.encode()
+    # argparse has already required exactly one of the two flags.
+    if args.msg_hex is None:
+        return args.msg.encode()
+    try:
+        return bytes.fromhex(args.msg_hex)
+    except ValueError:
+        raise CliError("--msg-hex is not valid hex") from None
 
 
 def _sig_bytes(value: str) -> bytes:
@@ -108,7 +103,7 @@ def _load_ring(path: str, pp: PublicParams) -> Ring:
         except (ValueError, CurveError) as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
     try:
-        return canonical_ring(pks)
+        return Ring(pks)
     except UrsError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -133,9 +128,12 @@ def cmd_keygen(args, pp: PublicParams) -> int:
     sk_path = args.out + ".sk"
     pk_path = args.out + ".pk"
     sk_hex = pair.sk.value.to_bytes(pp.curve.scalar_bytes, "big").hex()
-    with open(sk_path, "w", encoding="utf-8") as fh:
+    # Owner-only before the first byte: a new file is made 0600, and an
+    # existing one loses its group and other bits before it is rewritten.
+    fd = os.open(sk_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w", encoding="utf-8") as fh:
+        os.fchmod(fd, 0o600)
         fh.write(sk_hex + "\n")
-    os.chmod(sk_path, 0o600)
     with open(pk_path, "w", encoding="utf-8") as fh:
         fh.write(pair.pk.encode().hex() + "\n")
     print(pair.pk.encode().hex())
@@ -288,7 +286,7 @@ def cmd_bench(args, pp: PublicParams) -> int:
             if pair.pk not in seen:
                 seen.add(pair.pk)
                 keys.append(pair)
-        ring = canonical_ring([k.pk for k in keys])
+        ring = Ring(k.pk for k in keys)
         msg = f"bench-{size}".encode()
         t0 = time.perf_counter()
         sig = ring_sign(pp, keys[0].sk, ring, msg, rng)
@@ -320,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unique ring signatures and a simulated mixing contract.",
     )
     parser.add_argument("--curve", choices=sorted(CURVES), default="secp256k1")
-    parser.add_argument("--hash", choices=sorted(_HASH_FLAGS), default="ft")
+    parser.add_argument("--hash", choices=sorted(v.value for v in HashVariant),
+                        default="ft")
     parser.add_argument("--allow-insecure", action="store_true",
                         help="permit the generator-multiple hash (demos only)")
     parser.add_argument("--state", default="ringmix-state.json",
@@ -329,16 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="deterministic randomness for reproducible runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --ring and exactly one message flag, for every command that works in
+    # a (message, ring) context.
+    context = argparse.ArgumentParser(add_help=False)
+    context.add_argument("--ring", required=True, help="file of hex public keys")
+    message = context.add_mutually_exclusive_group(required=True)
+    message.add_argument("--msg")
+    message.add_argument("--msg-hex")
+
     p = sub.add_parser("keygen", help="write <out>.sk and <out>.pk")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_keygen)
 
     for name, func in (("sign", cmd_sign), ("verify", cmd_verify),
                        ("link", cmd_link)):
-        p = sub.add_parser(name)
-        p.add_argument("--ring", required=True, help="file of hex public keys")
-        p.add_argument("--msg")
-        p.add_argument("--msg-hex")
+        p = sub.add_parser(name, parents=[context])
         if name == "sign":
             p.add_argument("--key", required=True, help="secret key file")
             p.add_argument("--out")
@@ -377,10 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a deanonymization demo")
     attack_sub = p.add_subparsers(dest="attack_cmd", required=True)
     for name in ("naive-hash", "tag-reveal"):
-        q = attack_sub.add_parser(name)
-        q.add_argument("--ring", required=True)
-        q.add_argument("--msg")
-        q.add_argument("--msg-hex")
+        q = attack_sub.add_parser(name, parents=[context])
         q.add_argument("--sig", required=True)
         if name == "tag-reveal":
             q.add_argument("--keys", required=True,

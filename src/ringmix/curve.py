@@ -41,10 +41,6 @@ class ModulusMismatchError(CurveError):
     """Arithmetic attempted between residues of different moduli or kinds."""
 
 
-class ZeroInversionError(CurveError):
-    """Multiplicative inverse of zero requested."""
-
-
 class NonResidueError(CurveError):
     """Square root of a quadratic non-residue requested."""
 
@@ -136,27 +132,6 @@ class _Residue(_Frozen):
             return NotImplemented
         return type(self)(self.value * v, self.modulus)
 
-    def __neg__(self):
-        return type(self)(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int):
-        return type(self)(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroInversionError(f"0 has no inverse mod {self.modulus}")
-        try:
-            return type(self)(int(_invert(self.value, self.modulus)), self.modulus)
-        except (ValueError, ZeroDivisionError):
-            raise ZeroInversionError(
-                f"{self.value} is not invertible mod {self.modulus}"
-            ) from None
-
-    def __truediv__(self, other):
-        if self._peer(other) is None:
-            return NotImplemented
-        return self * other.inverse()
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other % self.modulus
@@ -188,24 +163,21 @@ class FieldElement(_Residue):
 
     __slots__ = ()
 
-    def chi(self) -> int:
-        """Quadratic character: 0 for zero, +1 for a square, -1 otherwise.
-
-        Euler's criterion, a^((p-1)/2) mod p, assuming a prime modulus.
-        """
-        return chi(self.value, self.modulus)
-
     def sqrt(self) -> "FieldElement":
         """Canonical square root a^((p+1)/4) mod p, for p = 3 mod 4.
 
         Returns exactly that power (the other root is its negation).
         Raises NonResidueError when no root exists; callers that cannot
-        tolerate the exception should check ``chi() >= 0`` first.
+        tolerate the exception should check ``chi(a, p) >= 0`` first.
         """
         return FieldElement(sqrt_mod(self.value, self.modulus), self.modulus)
 
 
 def chi(a: int, p: int) -> int:
+    """Quadratic character: 0 for zero, +1 for a square, -1 otherwise.
+
+    Euler's criterion, a^((p-1)/2) mod p, assuming a prime modulus p.
+    """
     a %= p
     if a == 0:
         return 0
@@ -255,8 +227,8 @@ def _is_probable_prime(m: int) -> bool:
     return True
 
 
-# (p, a, b, gx, gy, n) of the built-in curves and of every parameter set
-# that passed validate().  Keyed by value, not by object or curve_id.
+# CurveParams.key of the built-in curves and of every parameter set that
+# passed validate().  Keyed by value, not by object or curve_id.
 _VALIDATED: set[tuple] = set()
 
 
@@ -278,6 +250,11 @@ class CurveParams:
         self.gx = gx
         self.gy = gy
         self.n = n
+
+    @property
+    def key(self) -> tuple:
+        """(p, a, b, gx, gy, n): equal keys are the same group and generator."""
+        return (self.p, self.a, self.b, self.gx, self.gy, self.n)
 
     @property
     def g(self) -> "Point":
@@ -307,8 +284,7 @@ class CurveParams:
         A parameter set that passed once returns at once; one that failed,
         or was changed since, is checked in full again.
         """
-        params = (self.p, self.a, self.b, self.gx, self.gy, self.n)
-        if params in _VALIDATED:
+        if self.key in _VALIDATED:
             return
         if not _is_probable_prime(self.p):
             raise CurveError(f"{self.curve_id}: p is not prime")
@@ -319,17 +295,15 @@ class CurveParams:
             raise CurveError(f"{self.curve_id}: generator order too small")
         if not (self.n * g).is_infinity:
             raise CurveError(f"{self.curve_id}: n*g is not the identity")
-        _VALIDATED.add(params)
+        _VALIDATED.add(self.key)
 
     def __eq__(self, other):
         if not isinstance(other, CurveParams):
             return NotImplemented
-        return (self.p, self.a, self.b, self.gx, self.gy, self.n) == (
-            other.p, other.a, other.b, other.gx, other.gy, other.n,
-        )
+        return self.key == other.key
 
     def __hash__(self):
-        return hash((self.p, self.a, self.b, self.gx, self.gy, self.n))
+        return hash(self.key)
 
     def __repr__(self):
         return f"CurveParams({self.curve_id!r})"
@@ -451,12 +425,6 @@ class Point(_Frozen):
         if self.is_infinity:
             return self
         return Point(self.curve, self.x, -self.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return self + (-other)
-
-    def double(self) -> "Point":
-        return self + self
 
     def _scalar_int(self, k) -> int:
         if isinstance(k, Scalar):
@@ -709,7 +677,7 @@ CURVES = {
 
 # Published parameters, checked in full by the test suite rather than at
 # every import; any other parameter set is still checked on first use.
-_VALIDATED.update((c.p, c.a, c.b, c.gx, c.gy, c.n) for c in CURVES.values())
+_VALIDATED.update(c.key for c in CURVES.values())
 
 # secp256k1's endomorphism (x, y) -> (beta*x, y) is multiplication by lam;
 # (a1, b1), (a2, b2) is a short basis of {(x, y): x + y*lam = 0 mod n}.

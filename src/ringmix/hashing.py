@@ -1,18 +1,20 @@
 """Hashing byte strings to curve points (and to scalars).
 
-Three point constructions live here:
+``hash_to_curve`` picks one of three point constructions by ``HashVariant``:
 
-* ``try_and_increment``: rejection sampling over x candidates.  Simple and
-  works on any curve, but the iteration count depends on the input, so the
-  running time leaks which candidates failed.  All inputs here are public,
-  which is the only reason that is tolerable.
-* ``hash_to_curve_ft``: the Fouque-Tibouchi encoding composed with a
-  hash-to-field.  Fully deterministic with a fixed operation count, defined
-  for a = 0 curves whose prime is 7 mod 12 (secp256k1 qualifies).
-* ``insecure_hash_mult_g``: multiplies the generator by a public hash.  The
-  discrete log of the output is public, which guts the privacy of any tag
-  built from it.  Kept only so the attack demos can show exactly how it
-  fails; signing refuses it unless explicitly overridden.
+* ``TRY_INCREMENT``: ``try_and_increment_field`` on ``hash_to_field``,
+  rejection sampling over x candidates.  Simple and works on any curve, but
+  the iteration count depends on the input, so the running time leaks
+  which candidates failed.  All inputs here are public, which is the only
+  reason that is tolerable.
+* ``FT_DETERMINISTIC``: ``ft_map``, the Fouque-Tibouchi encoding, on
+  ``hash_to_field``.  Fully deterministic with a fixed operation count,
+  defined for a = 0 curves whose prime is 7 mod 12 (secp256k1 qualifies).
+* ``INSECURE_MULT_G``: the generator times ``insecure_hash_exponent``, a
+  public hash.  The discrete log of the output is public, which guts the
+  privacy of any tag built from it.  Kept only so the attack demos can
+  show exactly how it fails; signing refuses it unless explicitly
+  overridden.
 
 Two one-byte domain tags keep the to-field oracle and the to-scalar oracle
 independent even on identical message bytes.
@@ -30,7 +32,6 @@ from .curve import (
     Point,
     RingmixError,
     Scalar,
-    _Frozen,
     chi,
     sqrt_mod,
 )
@@ -98,39 +99,26 @@ def try_and_increment_field(u: FieldElement, curve: CurveParams,
     raise HashToCurveError(f"no curve point within {limit} increments")
 
 
-def try_and_increment(msg: bytes, curve: CurveParams) -> Point:
-    return try_and_increment_field(hash_to_field(msg, 0, curve), curve)
-
-
 # ---------------------------------------------------------------------------
 # Fouque-Tibouchi map
 
 
-class FtConstants(_Frozen):
-    """Per-curve constants for the Fouque-Tibouchi encoding.
+@lru_cache(maxsize=None)
+def ft_constants(curve: CurveParams) -> tuple[int, int]:
+    """(sqrt_m3, c1) for the Fouque-Tibouchi encoding on ``curve``.
 
     sqrt_m3 is the canonical square root of -3 mod p and c1 equals
     (-1 + sqrt(-3)) / 2.  Both exist exactly when p = 1 mod 3 with
     p = 3 mod 4, i.e. p = 7 mod 12.
     """
-
-    __slots__ = ("sqrt_m3", "c1")
-
-    def __init__(self, sqrt_m3: int, c1: int):
-        super().__init__(sqrt_m3, c1)
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def for_curve(curve: CurveParams) -> "FtConstants":
-        if curve.a != 0:
-            raise UnsupportedCurveError("map requires a curve of form y^2 = x^3 + b")
-        if curve.p % 12 != 7:
-            raise UnsupportedCurveError(
-                f"map requires p = 7 mod 12, got p = {curve.p % 12} mod 12"
-            )
-        sqrt_m3 = sqrt_mod(-3 % curve.p, curve.p)
-        c1 = (sqrt_m3 - 1) * pow(2, -1, curve.p) % curve.p
-        return FtConstants(sqrt_m3=sqrt_m3, c1=c1)
+    if curve.a != 0:
+        raise UnsupportedCurveError("map requires a curve of form y^2 = x^3 + b")
+    if curve.p % 12 != 7:
+        raise UnsupportedCurveError(
+            f"map requires p = 7 mod 12, got p = {curve.p % 12} mod 12"
+        )
+    sqrt_m3 = sqrt_mod(-3 % curve.p, curve.p)
+    return sqrt_m3, (sqrt_m3 - 1) * pow(2, -1, curve.p) % curve.p
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +144,14 @@ def ft_map(t: FieldElement, curve: CurveParams) -> Point:
     the selected x_i's cubic; the exhaustive on-curve test over F_31 pins
     both choices.
     """
-    consts = FtConstants.for_curve(curve)
+    sqrt_m3, c1 = ft_constants(curve)
     p, b = curve.p, curve.b
     tv = t.value
     denom = (1 + b + tv * tv) % p
     if tv == 0 or denom == 0:
         return ft_fallback_point(curve)
-    w = consts.sqrt_m3 * tv % p * pow(denom, -1, p) % p
-    x1 = (consts.c1 - tv * w) % p
+    w = sqrt_m3 * tv % p * pow(denom, -1, p) % p
+    x1 = (c1 - tv * w) % p
     x2 = (-1 - x1) % p
     x3 = (1 + pow(w * w % p, -1, p)) % p
     alpha = chi(curve.rhs(x1), p)
@@ -176,26 +164,17 @@ def ft_map(t: FieldElement, curve: CurveParams) -> Point:
     return Point(curve, x, y)
 
 
-def hash_to_curve_ft(msg: bytes, curve: CurveParams) -> Point:
-    return ft_map(hash_to_field(msg, 0, curve), curve)
-
-
 # ---------------------------------------------------------------------------
 # The broken variant
 
 
 def insecure_hash_exponent(msg: bytes, curve: CurveParams) -> Scalar:
-    """The publicly recomputable discrete log behind insecure_hash_mult_g.
+    """The publicly recomputable discrete log of the INSECURE_MULT_G hash.
 
     Anyone can evaluate this, which is precisely the flaw: a tag built as
     sk * (e * g) equals e * pk, a product of public values.
     """
     return curve.scalar(_digest_int(_TO_FIELD, 0, msg))
-
-
-def insecure_hash_mult_g(msg: bytes, curve: CurveParams) -> Point:
-    """Generator times a public hash.  Do not use for anything but demos."""
-    return insecure_hash_exponent(msg, curve) * curve.g
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +183,9 @@ def insecure_hash_mult_g(msg: bytes, curve: CurveParams) -> Point:
 
 def hash_to_curve(msg: bytes, curve: CurveParams, variant: HashVariant) -> Point:
     if variant is HashVariant.TRY_INCREMENT:
-        return try_and_increment(msg, curve)
+        return try_and_increment_field(hash_to_field(msg, 0, curve), curve)
     if variant is HashVariant.FT_DETERMINISTIC:
-        return hash_to_curve_ft(msg, curve)
+        return ft_map(hash_to_field(msg, 0, curve), curve)
     if variant is HashVariant.INSECURE_MULT_G:
-        return insecure_hash_mult_g(msg, curve)
+        return insecure_hash_exponent(msg, curve) * curve.g
     raise ValueError(f"unknown hash variant {variant!r}")

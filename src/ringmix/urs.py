@@ -39,7 +39,7 @@ from .curve import (
     digest,
     dual_scalar_mul_batch,
 )
-from .hashing import FtConstants, HashVariant, hash_to_curve, hash_to_scalar
+from .hashing import HashVariant, ft_constants, hash_to_curve, hash_to_scalar
 
 
 class UrsError(RingmixError):
@@ -93,7 +93,7 @@ def setup(security_bits: int, curve: CurveParams, h_variant: HashVariant,
             "insecure generator-multiple hash requires insecure_override=True"
         )
     if h_variant is HashVariant.FT_DETERMINISTIC:
-        FtConstants.for_curve(curve)  # fails fast on unsupported curves
+        ft_constants(curve)  # fails fast on unsupported curves
     return PublicParams(
         security_bits=security_bits,
         curve=curve,
@@ -244,7 +244,7 @@ def _transcript_enc(point: Point) -> bytes:
 
 def _ring_challenge(curve: CurveParams, msg: bytes, ring: Ring,
                     a_pts: list[Point], b_pts: list[Point]) -> Scalar:
-    parts = [b"urs-ring", len(msg).to_bytes(8, "big"), msg, ring.canonical_bytes]
+    parts = [b"urs-ring", ring_message_bytes(msg, ring)]
     for a, b in zip(a_pts, b_pts):
         parts.append(_transcript_enc(a))
         parts.append(_transcript_enc(b))
@@ -418,11 +418,11 @@ def encode_signature(sig: Signature) -> bytes:
 
 
 def decode_signature(data: bytes, curve: CurveParams, msg: bytes,
-                     ring: Ring | None = None) -> Signature:
+                     ring: Ring) -> Signature:
     """Parse the wire form back into a Signature bound to (msg, ring).
 
-    Rejects non-canonical scalars (>= n) and off-curve tags.  When a ring
-    is supplied, the encoded pair count must match its size.
+    Rejects non-canonical scalars (>= n), off-curve tags, and a pair count
+    other than the ring's size.
     """
     fb, sb = curve.field_bytes, curve.scalar_bytes
     body = len(data) - 2 * fb
@@ -433,7 +433,7 @@ def decode_signature(data: bytes, curve: CurveParams, msg: bytes,
     if body % (2 * sb) != 0:
         raise SignatureFormatError(f"{len(data)} bytes is not a valid length")
     count = body // (2 * sb)
-    if ring is not None and count != len(ring):
+    if count != len(ring):
         raise RingSizeMismatchError(
             f"signature covers {count} members, ring has {len(ring)}"
         )
@@ -456,11 +456,10 @@ def decode_signature(data: bytes, curve: CurveParams, msg: bytes,
         cs.append(curve.scalar(c))
         ts.append(curve.scalar(t))
         off += 2 * sb
-    ring_hash = ring.digest if ring is not None else b""
     return Signature(
         tau=tau,
         cs=tuple(cs),
         ts=tuple(ts),
-        ring_hash=ring_hash,
+        ring_hash=ring.digest,
         msg_hash=digest(msg),
     )

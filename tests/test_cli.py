@@ -4,6 +4,9 @@ import errno
 import hashlib
 import json
 import os
+import resource
+import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,7 @@ from ringmix import cli
 PACKAGE_ROOT = str(Path(ringmix.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     """Run ringmix in a child process.  No invocation may end in a
     traceback: every failure has an exit code and a one-line error."""
     env = dict(os.environ)
@@ -33,6 +36,7 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
         env=env,
+        preexec_fn=preexec_fn,
     )
     assert "Traceback" not in res.stderr, res.stderr
     return res
@@ -71,6 +75,27 @@ def test_keygen_writes_key_files(workdir):
     assert res.stdout.strip() == pk
 
 
+def _limit_file_size():
+    # The key write fails after 16 bytes, as a crash inside it would stop.
+    os.umask(0o022)
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing-0644"])
+def test_secret_key_is_never_written_readable_by_others(workdir, existing):
+    sk = workdir / "k.sk"
+    if existing:
+        sk.write_text("old\n")
+        sk.chmod(0o644)
+    res = run_cli("--seed", "7", "keygen", "--out", "k", cwd=workdir,
+                  preexec_fn=_limit_file_size)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == "error: File too large\n"
+    assert stat.S_IMODE(sk.stat().st_mode) == 0o600
+    assert not (workdir / "k.pk").exists()
+
+
 def test_keygen_deterministic_with_seed(workdir):
     a = run_cli("--seed", "42", "keygen", "--out", "a", cwd=workdir)
     b = run_cli("--seed", "42", "keygen", "--out", "b", cwd=workdir)
@@ -88,10 +113,53 @@ def test_sign_verify_roundtrip_exit_codes(workdir):
                  "--msg", "hello", "--sig", "@sig.hex", cwd=workdir)
     assert ok.returncode == 0
     assert ok.stdout.strip() == "ACCEPT"
+    ok_hex = run_cli("--curve", "test-31", "verify", "--ring", "ring.txt",
+                     "--msg-hex", "68656c6c6f", "--sig", "@sig.hex", cwd=workdir)
+    assert (ok_hex.returncode, ok_hex.stdout) == (0, "ACCEPT\n")
     bad = run_cli("--curve", "test-31", "verify", "--ring", "ring.txt",
                   "--msg", "hellO", "--sig", "@sig.hex", cwd=workdir)
     assert bad.returncode == 1
     assert bad.stdout.strip() == "REJECT"
+
+
+def test_empty_msg_hex_is_the_empty_message(workdir):
+    make_keys(workdir, ["alice", "bob"])
+    res = run_cli("--curve", "test-31", "--seed", "9", "sign",
+                  "--key", "alice.sk", "--ring", "ring.txt",
+                  "--msg-hex", "", "--out", "sig.hex", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    ok = run_cli("--curve", "test-31", "verify", "--ring", "ring.txt",
+                 "--msg", "", "--sig", "@sig.hex", cwd=workdir)
+    assert (ok.returncode, ok.stdout) == (0, "ACCEPT\n")
+
+
+# Each command that takes a (message, ring) context, without its message.
+CONTEXT_COMMANDS = {
+    "sign": ("sign", "--key", "alice.sk"),
+    "verify": ("verify", "--sig", "@sig.hex"),
+    "link": ("link", "--sig1", "@sig.hex", "--sig2", "@sig.hex"),
+    "naive-hash": ("attack", "naive-hash", "--sig", "@sig.hex"),
+    "tag-reveal": ("attack", "tag-reveal", "--sig", "@sig.hex",
+                   "--keys", "bob.sk"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONTEXT_COMMANDS))
+@pytest.mark.parametrize("flags", [
+    ("--msg", "nope", "--msg-hex", "68656c6c6f"),
+    (),
+], ids=["both", "neither"])
+def test_message_flags_are_one_required_choice(workdir, command, flags):
+    make_keys(workdir, ["alice", "bob"])
+    res = run_cli("--curve", "test-31", "--seed", "9", "sign",
+                  "--key", "alice.sk", "--ring", "ring.txt",
+                  "--msg", "hello", "--out", "sig.hex", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("--curve", "test-31", *CONTEXT_COMMANDS[command],
+                  "--ring", "ring.txt", *flags, cwd=workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "--msg" in res.stderr.splitlines()[-1]
 
 
 def test_link_verdicts(workdir):

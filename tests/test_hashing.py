@@ -14,7 +14,6 @@ from conftest import brute_force_points
 
 from ringmix import (
     FieldElement,
-    FtConstants,
     HashToCurveError,
     HashVariant,
     Point,
@@ -25,14 +24,17 @@ from ringmix import (
     ft_fallback_point,
     ft_map,
     hash_to_curve,
-    hash_to_curve_ft,
     hash_to_field,
     hash_to_scalar,
     insecure_hash_exponent,
-    insecure_hash_mult_g,
-    try_and_increment,
     try_and_increment_field,
 )
+from ringmix.curve import chi
+from ringmix.hashing import ft_constants
+
+TRY_INC = HashVariant.TRY_INCREMENT
+FT = HashVariant.FT_DETERMINISTIC
+INSECURE = HashVariant.INSECURE_MULT_G
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ def test_try_increment_exhaustion_error():
 def test_try_increment_no_collisions_secp():
     seen = set()
     for i in range(1000):
-        P = try_and_increment(f"msg-{i}".encode(), SECP256K1)
+        P = hash_to_curve(f"msg-{i}".encode(), SECP256K1, TRY_INC)
         key = (P.x, P.y)
         assert key not in seen
         seen.add(key)
@@ -110,19 +112,19 @@ def test_try_increment_no_collisions_secp():
 
 
 def test_ft_constants_f31():
-    consts = FtConstants.for_curve(TEST_CURVE_31)
-    assert consts.sqrt_m3 == 20
-    assert consts.sqrt_m3 ** 2 % 31 == (-3) % 31
-    assert consts.c1 == (consts.sqrt_m3 - 1) * pow(2, -1, 31) % 31 == 25
+    sqrt_m3, c1 = ft_constants(TEST_CURVE_31)
+    assert sqrt_m3 == 20
+    assert sqrt_m3 ** 2 % 31 == (-3) % 31
+    assert c1 == (sqrt_m3 - 1) * pow(2, -1, 31) % 31 == 25
 
 
 def test_ft_constants_secp_pinned():
-    consts = FtConstants.for_curve(SECP256K1)
-    assert consts.sqrt_m3 * consts.sqrt_m3 % SECP256K1.p == SECP256K1.p - 3
-    assert consts.sqrt_m3 == (
+    sqrt_m3, c1 = ft_constants(SECP256K1)
+    assert sqrt_m3 * sqrt_m3 % SECP256K1.p == SECP256K1.p - 3
+    assert sqrt_m3 == (
         0x0A2D2BA93507F1DF233770C2A797962CC61F6D15DA14ECD47D8D27AE1CD5F852
     )
-    assert consts.c1 == (
+    assert c1 == (
         0x851695D49A83F8EF919BB86153CBCB16630FB68AED0A766A3EC693D68E6AFA40
     )
 
@@ -130,7 +132,7 @@ def test_ft_constants_secp_pinned():
 def test_ft_requires_7_mod_12():
     # 11 = 11 mod 12: no sqrt(-3) exists, the map must refuse
     with pytest.raises(UnsupportedCurveError):
-        FtConstants.for_curve(TEST_CURVE_11)
+        ft_constants(TEST_CURVE_11)
     with pytest.raises(UnsupportedCurveError):
         ft_map(FieldElement(3, 11), TEST_CURVE_11)
 
@@ -163,7 +165,6 @@ def test_ft_degenerate_inputs_hit_fallback():
     fallback = ft_fallback_point(TEST_CURVE_31)
     assert (fallback.x, fallback.y) == (1, 16)
     assert ft_map(FieldElement(0, 31), TEST_CURVE_31) == fallback
-    from ringmix.curve import chi
     assert chi(-(1 + 7), 31) == -1
     assert chi(-(1 + 7) % SECP256K1.p, SECP256K1.p) == -1
     sec_fb = ft_fallback_point(SECP256K1)
@@ -186,33 +187,33 @@ def test_ft_image_size_matches_brute_force_oracle():
 
 
 def test_hash_to_curve_ft_deterministic_and_pinned():
-    P = hash_to_curve_ft(b"abc", SECP256K1)
-    assert P == hash_to_curve_ft(b"abc", SECP256K1)
+    P = hash_to_curve(b"abc", SECP256K1, FT)
+    assert P == hash_to_curve(b"abc", SECP256K1, FT)
     assert P.encode().hex() == (
         "03bdfc82c491a04793839582162a9b48c9efa6b0c2f515e314a4a019f7397d9397"
     )
 
 
 def test_hash_to_curve_ft_differs_from_try_increment():
-    assert hash_to_curve_ft(b"abc", SECP256K1) != try_and_increment(b"abc", SECP256K1)
+    assert hash_to_curve(b"abc", SECP256K1, FT) != (
+        hash_to_curve(b"abc", SECP256K1, TRY_INC))
 
 
 def test_hash_to_curve_ft_on_curve_many_messages():
     for i in range(1000):
-        P = hash_to_curve_ft(f"m{i}".encode(), SECP256K1)
+        P = hash_to_curve(f"m{i}".encode(), SECP256K1, FT)
         assert not P.is_infinity
 
 
 def test_dispatch_matches_variants():
     msg = b"dispatch"
-    assert hash_to_curve(msg, SECP256K1, HashVariant.TRY_INCREMENT) == (
-        try_and_increment(msg, SECP256K1)
+    u = hash_to_field(msg, 0, SECP256K1)
+    assert hash_to_curve(msg, SECP256K1, TRY_INC) == (
+        try_and_increment_field(u, SECP256K1)
     )
-    assert hash_to_curve(msg, SECP256K1, HashVariant.FT_DETERMINISTIC) == (
-        hash_to_curve_ft(msg, SECP256K1)
-    )
-    assert hash_to_curve(msg, SECP256K1, HashVariant.INSECURE_MULT_G) == (
-        insecure_hash_mult_g(msg, SECP256K1)
+    assert hash_to_curve(msg, SECP256K1, FT) == ft_map(u, SECP256K1)
+    assert hash_to_curve(msg, SECP256K1, INSECURE) == (
+        insecure_hash_exponent(msg, SECP256K1) * SECP256K1.g
     )
 
 
@@ -223,7 +224,7 @@ def test_dispatch_matches_variants():
 def test_insecure_hash_discrete_log_is_public():
     msg = b"anyone can do this"
     e = insecure_hash_exponent(msg, SECP256K1)
-    P = insecure_hash_mult_g(msg, SECP256K1)
+    P = hash_to_curve(msg, SECP256K1, INSECURE)
     assert e * SECP256K1.g == P
 
 

@@ -484,10 +484,11 @@ def test_codec_roundtrip(pp31):
 
 
 def test_codec_rejects_bad_lengths(pp31):
+    ring = canonical_ring([k.pk for k in distinct_keys(pp31, random.Random(1), 2)])
     with pytest.raises(SignatureFormatError):
-        decode_signature(b"\x00\x01\x02", pp31.curve, b"m")
+        decode_signature(b"\x00\x01\x02", pp31.curve, b"m", ring)
     with pytest.raises(SignatureFormatError):
-        decode_signature(b"", pp31.curve, b"m")
+        decode_signature(b"", pp31.curve, b"m", ring)
 
 
 def test_codec_rejects_ring_size_mismatch(pp31):
@@ -518,7 +519,7 @@ def test_codec_rejects_off_curve_tag(pp31):
     blob = bytearray(encode_signature(ring_sign(pp31, keys[0].sk, ring, b"m", rng)))
     orig = bytes(blob)
     blob[1] = (blob[1] + 1) % 31
-    if decode_or_none(bytes(blob), pp31) is None:
+    if decode_or_none(bytes(blob), pp31, ring) is None:
         return  # mutated tag no longer on curve: rejected as it should be
     # mutated point happened to be on curve; it still cannot verify
     sig = decode_signature(bytes(blob), pp31.curve, b"m", ring)
@@ -526,9 +527,9 @@ def test_codec_rejects_off_curve_tag(pp31):
     assert not ring_verify(pp31, ring, b"m", sig)
 
 
-def decode_or_none(blob, pp):
+def decode_or_none(blob, pp, ring):
     try:
-        return decode_signature(blob, pp.curve, b"m")
+        return decode_signature(blob, pp.curve, b"m", ring)
     except SignatureFormatError:
         return None
 
