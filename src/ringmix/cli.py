@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--state", default="ringmix-state.json",
                         help="mix ledger state file")
     parser.add_argument("--seed", type=int, default=None,
-                        help="deterministic randomness for reproducible runs")
+                        help="tests only: keys and signatures follow from the seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # --ring and exactly one message flag, for every command that works in

@@ -293,7 +293,9 @@ class CurveParams:
         g = self.g  # construction checks the curve equation
         if self.n < 2:
             raise CurveError(f"{self.curve_id}: generator order too small")
-        if not (self.n * g).is_infinity:
+        # multi_mul reduces scalars mod n, so n*g would be 0*g and always
+        # pass; (n-1)*g == -g holds exactly when n*g is the identity.
+        if (self.n - 1) * g != -g:
             raise CurveError(f"{self.curve_id}: n*g is not the identity")
         _VALIDATED.add(self.key)
 
@@ -426,20 +428,7 @@ class Point(_Frozen):
             return self
         return Point(self.curve, self.x, -self.y)
 
-    def _scalar_int(self, k) -> int:
-        if isinstance(k, Scalar):
-            if k.modulus != self.curve.n:
-                raise ModulusMismatchError(
-                    f"scalar mod {k.modulus} on curve with n = {self.curve.n}"
-                )
-            return k.value
-        if isinstance(k, FieldElement):
-            raise ModulusMismatchError("FieldElement cannot multiply a point")
-        return int(k)
-
     def __rmul__(self, k) -> "Point":
-        # Literal k*P (no silent mod-n reduction), so n*g really walks the
-        # whole ladder and lands on the identity.
         return multi_mul(self.curve, [[(k, self)]])[0]
 
     def __eq__(self, other):
@@ -556,11 +545,11 @@ _G_TABLES: dict[CurveParams, list] = {}  # g's odd multiples, built on first use
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     """For each job, a sequence of (k, P) terms, the point sum(k*P).
 
-    k is an int or a Scalar of the curve and is applied literally: a
-    negative k multiplies -P, and a k >= n walks the whole chain with no
-    mod-n reduction, so ``n*g`` lands on the identity only if n really is
-    g's order.  Only k in (-n, n) takes the GLV split, where it gives the
-    same point.  Bases shared by several terms or jobs share one table.
+    k is an int or a Scalar mod n (any other residue raises
+    ModulusMismatchError) and is reduced mod n, g's order.  That rests on
+    the group having cofactor 1, as every built-in curve does: n then kills
+    every point, so k*P == (k mod n)*P.  Bases shared by several terms or
+    jobs share one table.
     """
     p, a, n = mpz(curve.p), curve.a, curve.n
     glv = _GLV.get(curve)
@@ -572,16 +561,19 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         for k, P in job:
             if P.curve != curve:
                 raise CurveError("batch mixes curves")
-            kv = P._scalar_int(k)
-            if P.is_infinity or not kv:
+            if isinstance(k, _Residue):
+                if type(k) is not Scalar or k.modulus != n:
+                    raise ModulusMismatchError(f"{k!r} cannot scale a point, n = {n}")
+                k = k.value
+            k = int(k) % n
+            if P.is_infinity or not k:
                 continue
             b = bases.setdefault((P.x, P.y), len(bases))
-            if glv and -n < kv < n:
-                k1, k2 = _glv_split(abs(kv), glv, n)
-                sign = -1 if kv < 0 else 1
-                plan += [(sign * k1, b, False), (sign * k2, b, True)]
+            if glv:
+                k1, k2 = _glv_split(k, glv, n)
+                plan += [(k1, b, False), (k2, b, True)]
             else:
-                plan.append((kv, b, False))
+                plan.append((k, b, False))
         plans.append(plan)
 
     keys = list(bases)
@@ -608,7 +600,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             for pos, d in _wnaf(abs(kv)):
                 Q = table[abs(d) >> 1]
                 if Q is not None:
-                    if (d < 0) != (kv < 0):
+                    if (d < 0) != (kv < 0):  # GLV halves can be negative
                         Q = (Q[0], -Q[1] % p)
                     adds.append((pos, Q))
         adds.sort(key=lambda e: e[0], reverse=True)
@@ -626,21 +618,12 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
 
 
 def dual_scalar_mul_batch(pairs) -> list[Point]:
-    """Many (k1, P1, k2, P2) products at once, scalars reduced mod n.
+    """k1*P1 + k2*P2 for each (k1, P1, k2, P2), all on one curve.
 
-    All pairs must share a curve.  Infinity is allowed for P2 (a plain
-    single-base multiplication then falls out of the same code path).
+    One ``multi_mul`` batch, under its scalar contract; P2 may be infinity.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    curve = pairs[0][1].curve
-    jobs = []
-    for k1, P1, k2, P2 in pairs:
-        P1._same_curve(P2)
-        jobs.append(((P1._scalar_int(k1) % curve.n, P1),
-                     (P2._scalar_int(k2) % curve.n, P2)))
-    return multi_mul(curve, jobs)
+    jobs = [((k1, P1), (k2, P2)) for k1, P1, k2, P2 in pairs]
+    return multi_mul(jobs[0][0][1].curve, jobs) if jobs else []
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def hash_to_field(msg: bytes, counter: int, curve: CurveParams) -> FieldElement:
 
 
 def hash_to_scalar(msg: bytes, curve: CurveParams) -> Scalar:
-    """SHA-256 of (domain tag, msg), reduced mod n.
+    """SHA-256 of (domain tag, zero counter byte, msg), reduced mod n.
 
     The reduction bias is below 2^-128 on secp256k1 because n is within
     2^129 of 2^256.

@@ -18,11 +18,21 @@ followed by c_1 || t_1 || ... || c_n || t_n, each scalar width, everything
 big-endian.  On secp256k1 both widths are 32, so a size-n ring signature is
 exactly 64*(n+1) bytes.  Message and ring travel out of band.
 
-Challenge transcript (H'): SHA-256 over the to-scalar domain tag, then a
-context label (``urs-ring`` or ``urs-dleq``), then for ring signatures the
-8-byte big-endian message length, the message, the ring's canonical bytes,
-and the commitment pairs a_1, b_1, ..., a_n, b_n in transcript encoding
-(compressed points, with infinity padded to the same width), reduced mod n.
+Challenge transcripts (H'): SHA-256 over the bytes 0x02 0x00 (the
+to-scalar domain tag and a zero counter) followed by one of the two byte
+strings below; the digest, read as a big-endian integer, is reduced mod n.
+A point in a transcript is 1 + field_bytes wide (33 bytes on secp256k1):
+its compressed encoding (0x02 or 0x03 by the parity of y, then x
+big-endian), or that many zero bytes for infinity.
+
+* ``urs-ring`` (ring signatures): the 8 ASCII bytes ``urs-ring``, the
+  8-byte big-endian message length, the message, the ring's canonical
+  bytes (the members' compressed encodings in sorted order), then the
+  points a_1, b_1, a_2, b_2, ..., a_n, b_n, where a_j = t_j*g + c_j*y_j
+  and b_j = t_j*H(m || R) + c_j*tau.
+* ``urs-dleq`` (equal-discrete-log proofs): the 8 ASCII bytes
+  ``urs-dleq``, then the six points g1, g2, y1, y2, a, b, where
+  a = t*g1 + c*y1 and b = t*g2 + c*y2.
 """
 
 from __future__ import annotations
@@ -234,21 +244,19 @@ def ring_message_point(pp: PublicParams, msg: bytes, ring: Ring) -> Point:
     return hash_to_curve(ring_message_bytes(msg, ring), pp.curve, pp.h_variant)
 
 
-def _transcript_enc(point: Point) -> bytes:
-    # Fixed-width transcript form: infinity pads to the compressed length so
-    # commitment boundaries cannot shift.
-    if point.is_infinity:
-        return b"\x00" * (1 + point.curve.field_bytes)
-    return point.encode()
+def _challenge(curve: CurveParams, label: bytes, points) -> Scalar:
+    """H' over label (with any context bytes) and the points, each at the
+    fixed transcript width: infinity pads, so boundaries cannot shift."""
+    pad = b"\x00" * (1 + curve.field_bytes)
+    parts = [label]
+    parts.extend(pad if P.is_infinity else P.encode() for P in points)
+    return hash_to_scalar(b"".join(parts), curve)
 
 
 def _ring_challenge(curve: CurveParams, msg: bytes, ring: Ring,
                     a_pts: list[Point], b_pts: list[Point]) -> Scalar:
-    parts = [b"urs-ring", ring_message_bytes(msg, ring)]
-    for a, b in zip(a_pts, b_pts):
-        parts.append(_transcript_enc(a))
-        parts.append(_transcript_enc(b))
-    return hash_to_scalar(b"".join(parts), curve)
+    return _challenge(curve, b"urs-ring" + ring_message_bytes(msg, ring),
+                      [P for ab in zip(a_pts, b_pts) for P in ab])
 
 
 def _commitments(g: Point, h: Point, pairs, cs, ts) -> tuple[list[Point], list[Point]]:
@@ -362,12 +370,6 @@ class DleqProof(_Frozen):
         super().__init__(c, t)
 
 
-def _dleq_challenge(curve: CurveParams, g1, g2, y1, y2, a, b) -> Scalar:
-    parts = [b"urs-dleq"]
-    parts.extend(_transcript_enc(P) for P in (g1, g2, y1, y2, a, b))
-    return hash_to_scalar(b"".join(parts), curve)
-
-
 def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
     """Prove log_g1(x*g1) = log_g2(x*g2) without revealing x."""
     g1._same_curve(g2)
@@ -381,7 +383,7 @@ def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
     r = curve.scalar(rng.randrange(curve.n))
     y1, y2 = x * g1, x * g2
     (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [0], [r])
-    c = _dleq_challenge(curve, g1, g2, y1, y2, a, b)
+    c = _challenge(curve, b"urs-dleq", (g1, g2, y1, y2, a, b))
     return DleqProof(c=c, t=r - c * x)
 
 
@@ -394,7 +396,7 @@ def dleq_verify(y1: Point, y2: Point, g1: Point, g2: Point,
     if g1.is_infinity or g2.is_infinity:
         return False
     (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [proof.c], [proof.t])
-    return proof.c == _dleq_challenge(curve, g1, g2, y1, y2, a, b)
+    return proof.c == _challenge(curve, b"urs-dleq", (g1, g2, y1, y2, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,7 @@ def decode_signature(data: bytes, curve: CurveParams, msg: bytes,
         raise SignatureFormatError("tag coordinate out of field range")
     try:
         tau = Tag(Point(curve, tx, ty))
-    except Exception as exc:
+    except RingmixError as exc:
         raise SignatureFormatError(f"bad tag point: {exc}") from None
     cs = []
     ts = []

@@ -5,7 +5,6 @@ import pytest
 from ringmix import (
     HashVariant,
     SECP256K1,
-    TEST_CURVE_11,
     TEST_CURVE_31,
     ring_gen,
     setup,

@@ -10,13 +10,10 @@ far from 11.8, so the bracket as stated cannot hold; the assertion is kept
 faithful rather than loosened.
 """
 
-import math
 import multiprocessing
 import os
 import random
 import time
-
-import pytest
 
 from conftest import brute_force_points, brute_force_squares, distinct_keys
 
@@ -29,7 +26,6 @@ from ringmix import (
     SECP256K1,
     Signature,
     Tag,
-    TEST_CURVE_11,
     TEST_CURVE_31,
     UrsError,
     WithdrawStatus,

@@ -266,14 +266,26 @@ def test_group_law_sampled_secp():
     assert (A + (-A)).is_infinity
 
 
-def test_fieldelement_cannot_scale_points():
-    with pytest.raises(ModulusMismatchError):
-        FieldElement(2, 31) * Point(TEST_CURVE_31, 4, 3)
+# Every entry to the multiplication engine refuses a residue of the wrong kind
+# or modulus before it reduces k mod n.
+SCALE = {
+    "rmul": lambda k, P: k * P,
+    "multi_mul": lambda k, P: curve_module.multi_mul(P.curve, [[(k, P)]]),
+    "dual_batch": lambda k, P: curve_module.dual_scalar_mul_batch(
+        [(1, P, k, P)]),
+}
 
 
-def test_scalar_wrong_order_rejected():
+@pytest.mark.parametrize("scale", SCALE.values(), ids=SCALE.keys())
+def test_fieldelement_cannot_scale_points(scale):
     with pytest.raises(ModulusMismatchError):
-        Scalar(2, 12) * Point(TEST_CURVE_31, 4, 3)
+        scale(FieldElement(2, 31), Point(TEST_CURVE_31, 4, 3))
+
+
+@pytest.mark.parametrize("scale", SCALE.values(), ids=SCALE.keys())
+def test_scalar_wrong_order_rejected(scale):
+    with pytest.raises(ModulusMismatchError):
+        scale(Scalar(2, 12), Point(TEST_CURVE_31, 4, 3))
 
 
 def test_mixed_curve_addition_rejected():

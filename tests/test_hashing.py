@@ -6,8 +6,6 @@ secp256k1.  The 256-bit vectors were generated by this package and frozen
 as regressions.
 """
 
-import random
-
 import pytest
 
 from conftest import brute_force_points
@@ -16,7 +14,6 @@ from ringmix import (
     FieldElement,
     HashToCurveError,
     HashVariant,
-    Point,
     SECP256K1,
     TEST_CURVE_11,
     TEST_CURVE_31,

@@ -27,7 +27,6 @@ from ringmix import (
     MixerError,
     Phase,
     PhaseError,
-    SECP256K1,
     TEST_CURVE_31,
     UnknownAccountError,
     UnknownPoolError,

@@ -24,7 +24,6 @@ from ringmix import (
     LinkResult,
     Point,
     PublicParams,
-    Ring,
     RingError,
     RingSizeMismatchError,
     Scalar,
