@@ -8,8 +8,9 @@ time.  Odd seeds run the parent first and even seeds the change first, so
 a host that drifts over the session shifts both sides alike.  The change is the working tree as it stands, uncommitted edits
 included.  Writes one JSON file: every run's environment and result line,
 and per workload and gated metric the median and quartiles of each side,
-the relative change of the medians and the number of pairs in which the
-change was better.
+the relative change of the medians, the number of pairs in which the
+change was better, and whether that makes a gain or a regression beyond
+the metric's bound (see ``summarize``).
 
     python3 scripts/bench_pairs.py --parent HEAD --out BENCH_N.json
 
@@ -75,7 +76,13 @@ def spread(values: list[float]) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and metric (its BENCHMARK.json entry, by name): each
+    side's spread, the relative change of the medians, the pairs the change
+    won, and two verdicts.  ``gain``: the change is better in at least nine
+    pairs in ten and its median beats the parent's by more than the
+    parent's q3 - q1.  ``worse_than_bound``: the change's median is worse
+    than the parent's by more than the metric's bound."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -86,17 +93,21 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
         if not pairs:
             continue
         summary[workload] = {}
-        for name, better in metrics.items():
+        for name, spec in metrics.items():
             parent = [p["parent"][name]["value"] for p in pairs.values()]
             change = [p["change"][name]["value"] for p in pairs.values()]
-            sign = -1 if better == "lower" else 1
+            sign = -1 if spec["better"] == "lower" else 1
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             mp, mc = statistics.median(parent), statistics.median(change)
+            base = spread(parent)
             summary[workload][name] = {
-                "parent": spread(parent),
+                "parent": base,
                 "change": spread(change),
                 "median_change": round((mc - mp) / mp, 4) if mp else None,
                 "pairs_change_better": f"{wins}/{len(pairs)}",
+                "gain": (10 * wins >= 9 * len(pairs)
+                         and sign * (mc - mp) > base["q3"] - base["q1"]),
+                "worse_than_bound": -sign * (mc - mp) > spec["bound"] * abs(mp),
             }
     return summary
 
@@ -113,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
     parent_tree = tempfile.mkdtemp(prefix="bench-parent-", dir=args.workdir)

@@ -55,9 +55,25 @@ class CliError(RingmixError):
     """Input problem that maps to the state-error exit code."""
 
 
+# --curve and --hash default to None so that a mix command can tell a flag
+# that was given from one that was left out.
+DEFAULT_CURVE = "secp256k1"
+DEFAULT_HASH = "ft"
+
+
 def _build_params(args) -> PublicParams:
-    return setup(128, CURVES[args.curve], HashVariant(args.hash),
+    return setup(128, CURVES[args.curve or DEFAULT_CURVE],
+                 HashVariant(args.hash or DEFAULT_HASH),
                  insecure_override=args.allow_insecure)
+
+
+def _check_ledger_flags(args, mixer: Mixer) -> None:
+    # A given --curve or --hash must match the ledger; one left out follows it.
+    curve, hash_ = mixer.pp.curve.curve_id, mixer.pp.h_variant.value
+    if args.curve not in (None, curve) or args.hash not in (None, hash_):
+        raise CliError(
+            f"{args.state}: ledger uses --curve {curve} --hash {hash_}, "
+            f"not --curve {args.curve or curve} --hash {args.hash or hash_}")
 
 
 def _rng(args):
@@ -202,12 +218,18 @@ def _state_lock(path: str):
 _READ_ONLY_MIX = ("ring", "message", "status")
 
 
-def cmd_mix(args, pp: PublicParams) -> int:
+def cmd_mix(args, pp: None) -> int:
+    # No parameters come in: an existing ledger brings its own curve and
+    # hash, and only a new one is built from the flags.
     if os.path.isdir(args.state):  # refused before the lock file is made
         raise CliError(f"{args.state}: Is a directory")
     with _state_lock(args.state):
         existed = os.path.exists(args.state)
-        mixer = load_state(args.state) if existed else Mixer(pp)
+        if existed:
+            mixer = load_state(args.state)
+            _check_ledger_flags(args, mixer)
+        else:
+            mixer = Mixer(_build_params(args))
         rc = EXIT_OK
         if args.mix_cmd == "create":
             mix_id = mixer.mix_create(args.denomination, args.capacity)
@@ -273,16 +295,18 @@ def cmd_attack(args, pp: PublicParams) -> int:
 
 def cmd_bench(args, pp: PublicParams) -> int:
     rng = _rng(args)
-    print(f"{'ring':>6} {'sign_ms':>10} {'verify_ms':>10} {'sig_bytes':>10}")
+    print(f"{'ring':>6} {'sign_ms':>10} {'verify_ms':>10} {'keygen_ms':>10} "
+          f"{'sig_bytes':>10}")
     for size in args.sizes:
         keys = []
         seen = set()
-        attempts = 0
+        keygen_s = []
         while len(keys) < size:  # tiny curves can collide, resample
-            attempts += 1
-            if attempts > 100 * size:
+            if len(keygen_s) >= 100 * size:
                 raise CliError(f"cannot draw {size} distinct keys on this curve")
+            t0 = time.perf_counter()
             pair = ring_gen(pp, rng)
+            keygen_s.append(time.perf_counter() - t0)
             if pair.pk not in seen:
                 seen.add(pair.pk)
                 keys.append(pair)
@@ -296,8 +320,11 @@ def cmd_bench(args, pp: PublicParams) -> int:
         if not ok:
             raise CliError(f"benchmark signature failed to verify at size {size}")
         blob = encode_signature(sig)
+        # the median; of an even count the lower middle value, which leaves
+        # out the first call's table build at size 2
+        keygen_ms = sorted(keygen_s)[(len(keygen_s) - 1) // 2] * 1000
         print(f"{size:>6} {(t1 - t0) * 1000:>10.2f} {(t2 - t1) * 1000:>10.2f} "
-              f"{len(blob):>10}")
+              f"{keygen_ms:>10.3f} {len(blob):>10}")
     return EXIT_OK
 
 
@@ -317,9 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ringmix",
         description="Unique ring signatures and a simulated mixing contract.",
     )
-    parser.add_argument("--curve", choices=sorted(CURVES), default="secp256k1")
+    parser.add_argument("--curve", choices=sorted(CURVES),
+                        help=f"default {DEFAULT_CURVE}; a mix command on an "
+                             "existing state file uses the file's")
     parser.add_argument("--hash", choices=sorted(v.value for v in HashVariant),
-                        default="ft")
+                        help=f"default {DEFAULT_HASH}; a mix command on an "
+                             "existing state file uses the file's")
     parser.add_argument("--allow-insecure", action="store_true",
                         help="permit the generator-multiple hash (demos only)")
     parser.add_argument("--state", default="ringmix-state.json",
@@ -388,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated secret key files")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("bench", help="sign/verify timings and sizes")
-    p.add_argument("--sizes", type=_ring_sizes, default="2,4,8,16",
+    p = sub.add_parser("bench", help="sign/verify/keygen timings and sizes")
+    p.add_argument("--sizes", type=_ring_sizes, default="2,4,8,16,32,64",
                    help="comma-separated ring sizes, each at least 2")
     p.set_defaults(func=cmd_bench)
 
@@ -401,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     # bug and keeps its traceback.
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _build_params(args))
+        pp = None if args.func is cmd_mix else _build_params(args)
+        return args.func(args, pp)
     except OSError as exc:
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)

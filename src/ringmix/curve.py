@@ -493,18 +493,43 @@ class Point(_Frozen):
 # curves with an efficient endomorphism (secp256k1) the GLV split of each
 # scalar into two half-length ones (Gallant, Lambert, Vanstone, CRYPTO 2001;
 # Hankerson, Menezes, Vanstone, Guide to ECC, sections 3.3 and 3.5).
+#
+# g, and any base that enough jobs of a batch share, also gets shifted
+# tables: one odd-multiple table for each 2^(F*i)*P, i = 0, 1, ....  A digit
+# at bit position q*S + r then adds an entry of the table of 2^(q*S)*P at
+# position r, one addition as before, and the job's doubling chain spans S
+# bits instead of the whole scalar half (the fixed-base comb of Lim and Lee,
+# CRYPTO 1994; Guide to ECC, section 3.3.2).  S is the smallest multiple of
+# F above every digit of the job's other bases, so a job whose bases all
+# have shifted tables doubles fewer than F times.
 
 _W = 5  # NAF width; a table holds the odd multiples P, 3P, ..., 15P
 _TABLE = 1 << (_W - 2)
 
+# F is an eighth of a scalar half's bit length (129 on secp256k1, the whole
+# 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 tables,
+# 64 points, cover g, about 1.2 ms once per process; 1 on the test curves.
+_FOLDS = 8
 
-def _odd_multiples(Ps, p, a):
-    # [P, 3P, ..., (2*_TABLE - 1)P] for every affine P, two batch inversions
-    # in all.  Entries can be infinity on the tiny curves.
-    twos = _to_affine([_jdouble((x, y, 1), p, a) for x, y in Ps], p)
+# A base other than g gets shifted tables only for the call: 7 more levels
+# of F doublings and 7 more tables (1 doubling, 7 additions each), about
+# 126 doublings and 49 additions on secp256k1.  At 6.1 us per doubling and
+# 6.9 us per addition that is 1.1 ms, against 0.7 ms (112 doublings) saved
+# per job that then folds; timed, with the batch normalization and the
+# endomorphism images, it is nearer 1.6 ms.  The b_j = t_j*h + c_j*tau
+# jobs of a ring verify fold two such bases.  Timed in alternating pairs
+# against no sharing (CPython 3.11, stdlib ints), folding them is 3% slower
+# at n = 4, even at n = 5 and 3.5% faster at n = 6: _SHARE = 5.
+_SHARE = 5
+
+
+def _odd_multiples(Js, p, a):
+    # [P, 3P, ..., (2*_TABLE - 1)P] in affine for every Jacobian P, two
+    # batch inversions in all.  P and any entry can be infinity on the tiny
+    # curves.
+    twos = _to_affine([_jdouble(J, p, a) for J in Js], p)
     flat = []
-    for (x, y), D in zip(Ps, twos):
-        J = (x, y, 1)
+    for J, D in zip(Js, twos):
         flat.append(J)
         for _ in range(_TABLE - 1):
             J = _jadd(J, D, p, a)
@@ -539,7 +564,9 @@ def _glv_split(k, glv, n):
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-_G_TABLES: dict[CurveParams, list] = {}  # g's odd multiples, built on first use
+# g's levels, each (table of 2^(F*i)*g, the same under the endomorphism or
+# None), built on first use and extended as far as a call needs.
+_G_TABLES: dict[CurveParams, list] = {}
 
 
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
@@ -550,12 +577,18 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     the group having cofactor 1, as every built-in curve does: n then kills
     every point, so k*P == (k mod n)*P.  Bases shared by several terms or
     jobs share one table.
+
+    Digits on g, and on any base used by at least _SHARE jobs that fold
+    completely, are folded onto shifted tables; a job folds completely when
+    each of its bases is g or such a shared base, and then doubles fewer
+    than F times (17 on secp256k1).  g's tables last for the process, a
+    shared base's for the call.  The folds change which additions are made
+    where, never their number, and never the result.
     """
     p, a, n = mpz(curve.p), curve.a, curve.n
     glv = _GLV.get(curve)
-    g_key = (curve.gx, curve.gy)
-    bases: dict[tuple, int] = {}  # (x, y) -> table index
-    plans = []
+    bases: dict[tuple, int] = {(curve.gx, curve.gy): 0}  # (x, y) -> index
+    plans = []  # per job, (base, endomorphism?, negative?, wNAF digits)
     for job in jobs:
         plan = []
         for k, P in job:
@@ -569,38 +602,75 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             if P.is_infinity or not k:
                 continue
             b = bases.setdefault((P.x, P.y), len(bases))
-            if glv:
-                k1, k2 = _glv_split(k, glv, n)
-                plan += [(k1, b, False), (k2, b, True)]
-            else:
-                plan.append((k, b, False))
+            for phi, kv in enumerate(_glv_split(k, glv, n) if glv else (k,)):
+                if kv:
+                    plan.append((b, phi, kv < 0, _wnaf(abs(kv))))
         plans.append(plan)
 
-    keys = list(bases)
-    fresh = [key for key in keys if key != g_key or curve not in _G_TABLES]
-    built = dict(zip(fresh, _odd_multiples(
-        [(mpz(x), mpz(y)) for x, y in fresh], p, a)))
-    if g_key in built:
-        _G_TABLES[curve] = built[g_key]
-    tables = [built[key] if key in built else _G_TABLES[curve] for key in keys]
-    phi_tables: dict[int, list] = {}
+    # The largest set of bases in which each one other than g is used by
+    # _SHARE jobs whose bases are all in the set.
+    uses = [{t[0] for t in plan} for plan in plans]
+    folded = set(range(len(bases)))
+    while True:
+        count = [0] * len(bases)
+        for used in uses:
+            if used <= folded:
+                for b in used:
+                    count[b] += 1
+        keep = {b for b in folded if not b or count[b] >= _SHARE}
+        if keep == folded:
+            break
+        folded = keep
+
+    half = (n.bit_length() + 1) // 2 + 1 if glv else n.bit_length()
+    F = -(-half // _FOLDS)  # bits per level
+    spans = []  # per job, S
+    need = [0] * len(bases)  # levels each base needs
+    for plan in plans:
+        top = max((t[3][-1][0] for t in plan if t[0] not in folded), default=0)
+        S = (top // F + 1) * F
+        spans.append(S)
+        for b, _, _, digits in plan:
+            need[b] = max(need[b], digits[-1][0] // S * (S // F) + 1)
+
+    cached = _G_TABLES.get(curve, [])
+    levels = [list(cached)] + [[] for _ in range(1, len(bases))]
+    todo = []  # (base, Jacobian 2^(F*i)*P) for each level still to build
+    for (x, y), b in bases.items():
+        have = len(levels[b])
+        if have >= need[b]:
+            continue
+        last = levels[b][-1][0][0] if have else (mpz(x), mpz(y))
+        J = None if last is None else (*last, 1)
+        for i in range(have, need[b]):
+            if i:
+                for _ in range(F):
+                    J = _jdouble(J, p, a)
+            todo.append((b, J))
+    if todo:
+        built = _odd_multiples([J for _, J in todo], p, a)
+        for (b, _), table in zip(todo, built):
+            phi = None if glv is None else [
+                None if Q is None else (glv[0] * Q[0] % p, Q[1]) for Q in table]
+            levels[b].append((table, phi))
+        if len(levels[0]) > len(cached):
+            _G_TABLES[curve] = levels[0]
 
     out = []
-    for plan in plans:
+    for plan, S in zip(plans, spans):
+        step = S // F
         adds = []  # (bit position, affine point), for a Horner pass
-        for kv, b, phi in plan:
-            table = tables[b]
-            if phi:
-                if b not in phi_tables:
-                    phi_tables[b] = [
-                        None if Q is None else (glv[0] * Q[0] % p, Q[1])
-                        for Q in table
-                    ]
-                table = phi_tables[b]
-            for pos, d in _wnaf(abs(kv)):
-                Q = table[abs(d) >> 1]
+        for b, phi, neg, digits in plan:
+            lv = levels[b]
+            table = lv[0][phi]
+            for pos, d in digits:
+                if pos < S:
+                    Q = table[abs(d) >> 1]
+                else:  # 2^(q*S)*P's table, at position r
+                    q, pos = divmod(pos, S)
+                    Q = lv[q * step][phi][abs(d) >> 1]
                 if Q is not None:
-                    if (d < 0) != (kv < 0):  # GLV halves can be negative
+                    if (d < 0) != neg:  # GLV halves can be negative
                         Q = (Q[0], -Q[1] % p)
                     adds.append((pos, Q))
         adds.sort(key=lambda e: e[0], reverse=True)

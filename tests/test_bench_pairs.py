@@ -1,0 +1,72 @@
+"""The verdicts ``scripts/bench_pairs.py`` writes, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = {"op_ms_p90": {"better": "lower", "bound": 0.25},
+           "ops_per_s": {"better": "higher", "bound": 0.25}}
+
+
+def runs(parent, change, workload="w"):
+    """One parent and one change run per seed, with the given values."""
+    out = []
+    for seed, values in enumerate(zip(parent, change), start=1):
+        for side, (ms, per_s) in zip(("parent", "change"), values):
+            out.append({"side": side, "workload": workload, "seed": seed,
+                        "result": {"metrics": {"op_ms_p90": {"value": ms},
+                                               "ops_per_s": {"value": per_s}}}})
+    return out
+
+
+def verdicts(parent, change):
+    row = bench_pairs.summarize(runs(parent, change), METRICS)["w"]
+    return {name: (m["pairs_change_better"], m["gain"], m["worse_than_bound"])
+            for name, m in row.items()}
+
+
+def test_clear_gain_in_both_directions():
+    parent = [(10.0 + i % 3, 100.0 - i % 3) for i in range(10)]
+    change = [(ms - 3, per_s + 3) for ms, per_s in parent]
+    assert verdicts(parent, change) == {"op_ms_p90": ("10/10", True, False),
+                                        "ops_per_s": ("10/10", True, False)}
+
+
+def test_eight_wins_in_ten_is_no_gain():
+    parent = [(10.0, 100.0)] * 10
+    change = [(7.0, 103.0)] * 8 + [(11.0, 99.0)] * 2
+    assert verdicts(parent, change) == {"op_ms_p90": ("8/10", False, False),
+                                        "ops_per_s": ("8/10", False, False)}
+
+
+def test_win_inside_the_parents_spread_is_no_gain():
+    parent = [(10.0 + i, 100.0 - i) for i in range(10)]  # q3 - q1 = 5.5
+    change = [(ms - 1, per_s + 1) for ms, per_s in parent]  # 10/10, by 1
+    assert verdicts(parent, change) == {"op_ms_p90": ("10/10", False, False),
+                                        "ops_per_s": ("10/10", False, False)}
+
+
+def test_worse_than_bound_only_past_the_bound():
+    parent = [(10.0, 100.0)] * 10
+    just_inside = [(12.4, 76.0)] * 10  # +24% time, -24% rate
+    past = [(12.6, 74.0)] * 10  # +26% time, -26% rate
+    assert verdicts(parent, just_inside) == {"op_ms_p90": ("0/10", False, False),
+                                             "ops_per_s": ("0/10", False, False)}
+    assert verdicts(parent, past) == {"op_ms_p90": ("0/10", False, True),
+                                      "ops_per_s": ("0/10", False, True)}
+
+
+def test_unpaired_and_failed_runs_are_left_out():
+    rows = runs([(10.0, 100.0)] * 10, [(5.0, 200.0)] * 10)
+    rows[0]["result"] = {"correct": False}  # seed 1's parent failed
+    rows += runs([(1.0, 1.0)], [(1.0, 1.0)], workload="only-failed")
+    for r in rows[-2:]:
+        r["result"] = {"correct": False}
+    summary = bench_pairs.summarize(rows, METRICS)
+    assert list(summary) == ["w"]
+    assert summary["w"]["op_ms_p90"]["pairs_change_better"] == "9/9"
+    assert summary["w"]["op_ms_p90"]["gain"] is True

@@ -270,6 +270,38 @@ def test_mix_deposit_decodes_key_on_the_ledger_curve(workdir):
     assert res.stdout == "deposits 1/2\n"
 
 
+@pytest.mark.parametrize("flags", [("--curve", "secp256k1"),
+                                   ("--hash", "try-inc"),
+                                   ("--curve", "test-31", "--hash", "try-inc")],
+                         ids=["curve", "hash", "right-curve-wrong-hash"])
+def test_mix_flags_that_disagree_with_the_ledger_are_refused(workdir, flags):
+    mix = ("--state", "st.json", "mix")
+    run_cli("--curve", "test-31", *mix, "create", "--denomination", "1",
+            "--capacity", "2", cwd=workdir)
+    before = (workdir / "st.json").read_bytes()
+    res = run_cli(*flags, *mix, "fund", "--account", "a", "--amount", "1",
+                  cwd=workdir)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith(
+        "error: st.json: ledger uses --curve test-31 --hash ft, not ")
+    assert res.stderr.count("\n") == 1
+    assert (workdir / "st.json").read_bytes() == before
+
+
+def test_mix_flags_left_out_follow_the_ledger(workdir):
+    # The default hash, ft, does not run on test-11; a try-inc ledger there
+    # must not need --hash repeated on every command.
+    mix = ("--state", "st.json", "mix")
+    res = run_cli("--curve", "test-11", "--hash", "try-inc", *mix, "create",
+                  "--denomination", "1", "--capacity", "2", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    for flags in [(), ("--curve", "test-11"), ("--hash", "try-inc")]:
+        res = run_cli(*flags, *mix, "status", "--mix", "mix-0001", cwd=workdir)
+        assert res.returncode == 0, (flags, res.stderr)
+        assert res.stdout.startswith("mix_id=mix-0001 phase=filling ")
+
+
 def test_mix_ring_on_closed_pool_is_state_error(workdir):
     pp = ringmix.setup(128, ringmix.TEST_CURVE_31,
                        ringmix.HashVariant.FT_DETERMINISTIC)
@@ -587,7 +619,10 @@ def test_bench_reports_sizes(workdir):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.strip().splitlines()
     assert len(lines) == 5
+    assert lines[0].split() == ["ring", "sign_ms", "verify_ms", "keygen_ms",
+                                "sig_bytes"]
     expected = {"2": "192", "4": "320", "8": "576", "16": "1088"}
     for line in lines[1:]:
         cols = line.split()
         assert cols[-1] == expected[cols[0]]
+        assert float(cols[3]) > 0

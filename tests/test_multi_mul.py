@@ -20,6 +20,7 @@ from ringmix import (
     TEST_CURVE_11,
     TEST_CURVE_31,
 )
+from ringmix import curve as curve_module
 from ringmix.curve import (
     _GLV,
     _glv_split,
@@ -280,6 +281,93 @@ def test_hypothesis_batches(curve):
     @settings(max_examples=15 if curve is SECP256K1 else 150, deadline=None)
     @given(jobs=batch)
     def check(jobs):
+        for job, got in zip(jobs, multi_mul(curve, jobs)):
+            assert got == oracle_sum(curve, job)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# shifted tables: g always, and bases shared by enough completely folded jobs
+
+
+def verify_shape(curve, rng, n):
+    """The 2n jobs of a size-n ring verify: a_j = t_j*g + c_j*y_j and
+    b_j = t_j*h + c_j*tau, h and tau shared by the n b_j jobs."""
+    h, tau, *ys = [rng.randrange(1, curve.n) * curve.g for _ in range(n + 2)]
+    jobs = []
+    for y in ys:
+        t, c = rng.randrange(curve.n), rng.randrange(curve.n)
+        jobs += [[(t, curve.g), (c, y)], [(t, h), (c, tau)]]
+    return jobs
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)
+@pytest.mark.parametrize("n", [4, 5, 8])  # h and tau fold from n = _SHARE
+def test_verify_shapes(curve, n):
+    jobs = verify_shape(curve, random.Random(n), n)
+    for job, got in zip(jobs, multi_mul(curve, jobs)):
+        assert got == oracle_sum(curve, job)
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)
+def test_short_unshared_scalar_next_to_folded_digits(curve):
+    # A job that does not fold completely but whose other scalar is short:
+    # S then spans several levels, and folded digits above S index the
+    # level of 2^S*P, not of 2^F*P.
+    rng = random.Random(17)
+    shorts = [2, 4, 8] if curve.n < 100 else [2**20 + 5, 2**40 + 1, 2**70 + 3]
+    ys = [-curve.g] + sample_points(curve)[3:5]  # each in two jobs: unshared
+    shared = [rng.randrange(curve.n) * curve.g for _ in range(2)]
+    jobs = [[(rng.randrange(curve.n), P) for P in shared]
+            for _ in range(curve_module._SHARE)]
+    for s, y in zip(shorts, ys):
+        jobs += [[(s, y), (rng.randrange(curve.n), curve.g)],
+                 [(s, y), (rng.randrange(curve.n), shared[0])]]
+    for job, got in zip(jobs, multi_mul(curve, jobs)):
+        assert got == oracle_sum(curve, job), job
+
+
+def test_verify_shape_builds_only_gs_first_level(monkeypatch):
+    # A one-shot verify needs g's digits only below the y_j digits, so it
+    # must not pay for g's shifted levels; h and tau get all of theirs.
+    monkeypatch.setattr(curve_module, "_G_TABLES", {})
+    built = []
+    odd_multiples = curve_module._odd_multiples
+
+    def counting(Js, p, a):
+        built.append(len(Js))
+        return odd_multiples(Js, p, a)
+
+    monkeypatch.setattr(curve_module, "_odd_multiples", counting)
+    n = 8
+    jobs = verify_shape(SECP256K1, random.Random(3), n)
+    built.clear()  # verify_shape's own keygens built g's levels
+    curve_module._G_TABLES.clear()
+    multi_mul(SECP256K1, jobs)
+    assert len(curve_module._G_TABLES[SECP256K1]) == 1
+    assert built == [1 + n + 2 * 8]  # g, the y_j, 8 levels of h and of tau
+    random.Random(4).randrange(SECP256K1.n) * SECP256K1.g  # a keygen
+    assert len(curve_module._G_TABLES[SECP256K1]) == 8
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)
+def test_hypothesis_shared_bases(curve):
+    pts = [P for P in sample_points(curve) if P != curve.g]
+
+    @settings(max_examples=15 if curve is SECP256K1 else 150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        shared = data.draw(st.lists(st.sampled_from(pts), min_size=2,
+                                    max_size=3, unique=True))
+        jobs = []
+        for _ in range(data.draw(st.integers(4, 10))):
+            # each of g and the shared bases with odds 3 in 4, and with odds
+            # 1 in 4 another base, which keeps the job from folding completely
+            bases = [B for B in [curve.g] + shared if data.draw(st.integers(0, 3))]
+            if not data.draw(st.integers(0, 3)):
+                bases.append(data.draw(st.sampled_from(pts)))
+            jobs.append([(data.draw(scalars(curve)), B) for B in bases])
         for job, got in zip(jobs, multi_mul(curve, jobs)):
             assert got == oracle_sum(curve, job)
 
