@@ -297,7 +297,11 @@ def cmd_bench(args, pp: PublicParams) -> int:
     rng = _rng(args)
     print(f"{'ring':>6} {'sign_ms':>10} {'verify_ms':>10} {'keygen_ms':>10} "
           f"{'sig_bytes':>10}")
-    for size in args.sizes:
+    # sk is drawn from [1, n), so a curve holds at most n - 1 distinct keys;
+    # the default leaves out the sizes it cannot supply, an explicit list
+    # keeps them and fails on them.
+    sizes = args.sizes or [s for s in _BENCH_SIZES if s < pp.curve.n]
+    for size in sizes:
         keys = []
         seen = set()
         keygen_s = []
@@ -326,6 +330,9 @@ def cmd_bench(args, pp: PublicParams) -> int:
         print(f"{size:>6} {(t1 - t0) * 1000:>10.2f} {(t2 - t1) * 1000:>10.2f} "
               f"{keygen_ms:>10.3f} {len(blob):>10}")
     return EXIT_OK
+
+
+_BENCH_SIZES = (2, 4, 8, 16, 32, 64)
 
 
 def _ring_sizes(text: str) -> list[int]:
@@ -419,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="sign/verify/keygen timings and sizes")
-    p.add_argument("--sizes", type=_ring_sizes, default="2,4,8,16,32,64",
-                   help="comma-separated ring sizes, each at least 2")
+    p.add_argument("--sizes", type=_ring_sizes,
+                   help="comma-separated ring sizes, each at least 2; default "
+                        "2,4,8,16,32,64, leaving out any larger than the "
+                        "curve's n - 1 keys")
     p.set_defaults(func=cmd_bench)
 
     return parser

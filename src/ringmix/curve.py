@@ -336,7 +336,7 @@ def _jdouble(J, p, a):
 
 
 def _jadd(J, Q, p, a):
-    # Jacobian J plus affine Q.
+    # Jacobian J plus affine Q; only Q's first two entries, x and y, are read.
     if Q is None:
         return J
     if J is None:
@@ -494,32 +494,56 @@ class Point(_Frozen):
 # scalar into two half-length ones (Gallant, Lambert, Vanstone, CRYPTO 2001;
 # Hankerson, Menezes, Vanstone, Guide to ECC, sections 3.3 and 3.5).
 #
-# g, and any base that enough jobs of a batch share, also gets shifted
-# tables: one odd-multiple table for each 2^(F*i)*P, i = 0, 1, ....  A digit
-# at bit position q*S + r then adds an entry of the table of 2^(q*S)*P at
-# position r, one addition as before, and the job's doubling chain spans S
-# bits instead of the whole scalar half (the fixed-base comb of Lim and Lee,
-# CRYPTO 1994; Guide to ECC, section 3.3.2).  S is the smallest multiple of
-# F above every digit of the job's other bases, so a job whose bases all
-# have shifted tables doubles fewer than F times.
+# A base's levels are one odd-multiple table for each 2^(F*i)*P,
+# i = 0, 1, ...; level 0 alone is the plain wNAF table.  The digits of a
+# warm base (g, or one in the cache below) and of a base that enough jobs of
+# the call share are folded: a digit at bit position q*S + r adds an entry
+# of the table of 2^(q*S)*P at position r, one addition as before, and the
+# job's doubling chain spans S bits instead of the whole scalar half (the
+# fixed-base comb of Lim and Lee, CRYPTO 1994; Guide to ECC, section
+# 3.3.2).  S is the smallest multiple of F above every digit of the job's
+# other bases, so a job whose bases all fold doubles fewer than F times.
+#
+# Every base a call tables keeps its levels in _CACHE, keyed by
+# (curve.key, x, y): an equal key is the same group, order and
+# endomorphism, so the same levels.  A base's first call builds what it
+# would without the cache, so a one-shot ``ringmix verify`` pays nothing
+# new.  Its next call finds it warm and builds its missing levels, once: at
+# n = 32 the first verify after a sign doubles 5040 times and adds 6980
+# times, against 4830 and 5790.  From then on a ring verified again and
+# again, as a mixing pool's is, doubles about 1150 times and adds 5500.
+#
+# The cache holds at most _CACHE_SIZE bases; past that it drops the least
+# recently used one that is not a curve's g.  A verify at ring size n uses
+# n + 3 bases (the members, h = H(m || R), tau and g): 72 holds the largest
+# ring the CLI bench times, 64, with its h, tau and g, the g of the other
+# two built-in curves and the h of one more message.  A larger ring keeps
+# warm the members it meets last.  On a curve with the endomorphism a
+# table holds (x, y, beta*x) triples, so the image (beta*x, y) of an entry
+# costs no multiplication at use.  All 8 levels of a secp256k1 base are then
+# 64 triples, about 16.5 KB (tracemalloc, stdlib ints; level 0 alone
+# 2.2 KB), so a full cache holds about 1.2 MB.  Images kept as separate
+# points took an entry to 20.7 KB; computed at each use, they made a keygen
+# 4% slower.
 
 _W = 5  # NAF width; a table holds the odd multiples P, 3P, ..., 15P
 _TABLE = 1 << (_W - 2)
 
 # F is an eighth of a scalar half's bit length (129 on secp256k1, the whole
-# 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 tables,
-# 64 points, cover g, about 1.2 ms once per process; 1 on the test curves.
+# 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 levels,
+# 64 points, cover a base, about 1.2 ms to build; 1 on the test curves.
 _FOLDS = 8
 
-# A base other than g gets shifted tables only for the call: 7 more levels
-# of F doublings and 7 more tables (1 doubling, 7 additions each), about
-# 126 doublings and 49 additions on secp256k1.  At 6.1 us per doubling and
-# 6.9 us per addition that is 1.1 ms, against 0.7 ms (112 doublings) saved
-# per job that then folds; timed, with the batch normalization and the
-# endomorphism images, it is nearer 1.6 ms.  The b_j = t_j*h + c_j*tau
-# jobs of a ring verify fold two such bases.  Timed in alternating pairs
-# against no sharing (CPython 3.11, stdlib ints), folding them is 3% slower
-# at n = 4, even at n = 5 and 3.5% faster at n = 6: _SHARE = 5.
+# A base that is not warm folds only when _SHARE jobs that fold completely
+# use it.  Its first sighting then costs 7 more levels of F doublings and 7
+# more tables (1 doubling, 7 additions each), about 126 doublings and 49
+# additions on secp256k1.  At 6.1 us per doubling and 6.9 us per addition
+# that is 1.1 ms, against 0.7 ms (112 doublings) saved per job that then
+# folds; timed, with the batch normalization and the endomorphism images,
+# it is nearer 1.6 ms.  The b_j = t_j*h + c_j*tau jobs of a ring verify
+# fold two such bases.  Timed in alternating pairs against no sharing
+# (CPython 3.11, stdlib ints), folding them is 3% slower at n = 4, even at
+# n = 5 and 3.5% faster at n = 6: _SHARE = 5.
 _SHARE = 5
 
 
@@ -564,9 +588,10 @@ def _glv_split(k, glv, n):
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-# g's levels, each (table of 2^(F*i)*g, the same under the endomorphism or
-# None), built on first use and extended as far as a call needs.
-_G_TABLES: dict[CurveParams, list] = {}
+# (curve.key, x, y) -> [table of 2^(F*i)*P for i = 0, 1, ...], least
+# recently used first.
+_CACHE: dict[tuple, list] = {}
+_CACHE_SIZE = 72
 
 
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
@@ -578,12 +603,14 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     every point, so k*P == (k mod n)*P.  Bases shared by several terms or
     jobs share one table.
 
-    Digits on g, and on any base used by at least _SHARE jobs that fold
-    completely, are folded onto shifted tables; a job folds completely when
-    each of its bases is g or such a shared base, and then doubles fewer
-    than F times (17 on secp256k1).  g's tables last for the process, a
-    shared base's for the call.  The folds change which additions are made
-    where, never their number, and never the result.
+    Digits on a warm base (g, or one already in the cache) and on any base
+    used by at least _SHARE jobs that fold completely are folded onto
+    shifted tables; a job folds completely when each of its bases is such a
+    base, and then doubles fewer than F times (17 on secp256k1).  Every base
+    the call tables goes into the process-wide cache with its levels, at
+    most _CACHE_SIZE bases, least recently used out first, g never.  The
+    folds and the cache change which additions are made where, never their
+    number, and never the result.
     """
     p, a, n = mpz(curve.p), curve.a, curve.n
     glv = _GLV.get(curve)
@@ -607,7 +634,13 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
                     plan.append((b, phi, kv < 0, _wnaf(abs(kv))))
         plans.append(plan)
 
-    # The largest set of bases in which each one other than g is used by
+    # Taken out of the cache here and put back as the most recent below, so
+    # that this call's own bases are the last to be evicted.
+    key = curve.key
+    levels = [_CACHE.pop((key, *xy), []) for xy in bases]
+    warm = {0} | {b for b, lv in enumerate(levels) if lv}
+
+    # The largest set of bases in which each one not warm is used by
     # _SHARE jobs whose bases are all in the set.
     uses = [{t[0] for t in plan} for plan in plans]
     folded = set(range(len(bases)))
@@ -617,7 +650,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             if used <= folded:
                 for b in used:
                     count[b] += 1
-        keep = {b for b in folded if not b or count[b] >= _SHARE}
+        keep = {b for b in folded if b in warm or count[b] >= _SHARE}
         if keep == folded:
             break
         folded = keep
@@ -633,15 +666,13 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         for b, _, _, digits in plan:
             need[b] = max(need[b], digits[-1][0] // S * (S // F) + 1)
 
-    cached = _G_TABLES.get(curve, [])
-    levels = [list(cached)] + [[] for _ in range(1, len(bases))]
     todo = []  # (base, Jacobian 2^(F*i)*P) for each level still to build
     for (x, y), b in bases.items():
         have = len(levels[b])
         if have >= need[b]:
             continue
-        last = levels[b][-1][0][0] if have else (mpz(x), mpz(y))
-        J = None if last is None else (*last, 1)
+        last = levels[b][-1][0] if have else (mpz(x), mpz(y))
+        J = None if last is None else (last[0], last[1], 1)
         for i in range(have, need[b]):
             if i:
                 for _ in range(F):
@@ -650,11 +681,17 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     if todo:
         built = _odd_multiples([J for _, J in todo], p, a)
         for (b, _), table in zip(todo, built):
-            phi = None if glv is None else [
-                None if Q is None else (glv[0] * Q[0] % p, Q[1]) for Q in table]
-            levels[b].append((table, phi))
-        if len(levels[0]) > len(cached):
-            _G_TABLES[curve] = levels[0]
+            if glv:  # (x, y, beta*x): the endomorphism image is (beta*x, y)
+                table = [None if Q is None else (*Q, glv[0] * Q[0] % p)
+                         for Q in table]
+            levels[b].append(table)
+    for xy, lv in zip(bases, levels):
+        if lv:
+            _CACHE[(key, *xy)] = lv
+    excess = len(_CACHE) - _CACHE_SIZE
+    if excess > 0:  # the least recently used, other than any curve's g
+        for k in [k for k in _CACHE if k[1:] != k[0][3:5]][:excess]:
+            del _CACHE[k]
 
     out = []
     for plan, S in zip(plans, spans):
@@ -662,14 +699,16 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         adds = []  # (bit position, affine point), for a Horner pass
         for b, phi, neg, digits in plan:
             lv = levels[b]
-            table = lv[0][phi]
+            table = lv[0]
             for pos, d in digits:
                 if pos < S:
                     Q = table[abs(d) >> 1]
                 else:  # 2^(q*S)*P's table, at position r
                     q, pos = divmod(pos, S)
-                    Q = lv[q * step][phi][abs(d) >> 1]
+                    Q = lv[q * step][abs(d) >> 1]
                 if Q is not None:
+                    if phi:
+                        Q = (Q[2], Q[1])
                     if (d < 0) != neg:  # GLV halves can be negative
                         Q = (Q[0], -Q[1] % p)
                     adds.append((pos, Q))

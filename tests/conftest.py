@@ -9,11 +9,20 @@ from ringmix import (
     ring_gen,
     setup,
 )
+from ringmix import curve
 
 
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty scalar-multiplication table cache for one test, so counts
+    and cache contents do not depend on which tests ran before."""
+    monkeypatch.setattr(curve, "_CACHE", {})
+    return curve._CACHE
 
 
 @pytest.fixture(scope="session")

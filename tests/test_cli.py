@@ -626,3 +626,16 @@ def test_bench_reports_sizes(workdir):
         cols = line.split()
         assert cols[-1] == expected[cols[0]]
         assert float(cols[3]) > 0
+
+
+def test_bench_default_sizes_fit_the_curve(workdir):
+    # test-31 has 20 finite points, so 20 distinct keys at most: the default
+    # list stops at 16, and an explicit 32 is still refused.
+    res = run_cli("--curve", "test-31", "--seed", "1", "bench", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    assert [line.split()[0] for line in res.stdout.splitlines()[1:]] == [
+        "2", "4", "8", "16"]
+    res = run_cli("--curve", "test-31", "--seed", "1", "bench",
+                  "--sizes", "2,32", cwd=workdir)
+    assert res.returncode == 3
+    assert res.stderr == "error: cannot draw 32 distinct keys on this curve\n"

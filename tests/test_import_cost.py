@@ -17,7 +17,7 @@ sys.path.insert(0, sys.argv[1])
 import ringmix
 from ringmix import curve
 print(",".join(m for m in ("dataclasses", "inspect", "json") if m in sys.modules))
-print(len(curve._G_TABLES))
+print(len(curve._CACHE))
 print(curve._VALIDATED == {(c.p, c.a, c.b, c.gx, c.gy, c.n)
                            for c in curve.CURVES.values()})
 """
@@ -26,9 +26,9 @@ print(curve._VALIDATED == {(c.p, c.a, c.b, c.gx, c.gy, c.n)
 def test_import_loads_no_unused_module_and_runs_no_ladder():
     res = subprocess.run([sys.executable, "-c", PROBE, PACKAGE_ROOT],
                          capture_output=True, text=True, check=True)
-    unused, g_tables, seeded = res.stdout.splitlines()
+    unused, tables, seeded = res.stdout.splitlines()
     assert unused == ""  # none of dataclasses, inspect, json
-    assert g_tables == "0"  # no scalar multiplication ran
+    assert tables == "0"  # no scalar multiplication ran, nothing is cached
     assert seeded == "True"  # exactly the three built-in parameter sets
 
 

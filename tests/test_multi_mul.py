@@ -15,6 +15,7 @@ from conftest import brute_force_points
 
 from ringmix import (
     CurveError,
+    CurveParams,
     Point,
     SECP256K1,
     TEST_CURVE_11,
@@ -30,6 +31,9 @@ from ringmix.curve import (
 )
 
 CURVES = [SECP256K1, TEST_CURVE_31, TEST_CURVE_11]
+
+# Every test starts from an empty table cache.
+pytestmark = pytest.mark.usefixtures("cold_cache")
 
 
 def affine_add(curve, A, B):
@@ -99,18 +103,16 @@ def edge_scalars(n):
 # ---------------------------------------------------------------------------
 # exhaustive on the tiny curves
 
+TINY = [TEST_CURVE_11, TEST_CURVE_31]
 
-@pytest.mark.parametrize("curve", [TEST_CURVE_11, TEST_CURVE_31],
-                         ids=lambda c: c.curve_id)
-def test_every_point_every_scalar_tiny(curve):
+
+def every_point_every_scalar(curve):
     for P in all_points(curve):
         for k in range(-2 * curve.n - 1, 2 * curve.n + 2):
             assert k * P == oracle_mul(k, P), (k, P)
 
 
-@pytest.mark.parametrize("curve", [TEST_CURVE_11, TEST_CURVE_31],
-                         ids=lambda c: c.curve_id)
-def test_every_pair_of_points_one_batch_tiny(curve):
+def every_pair_of_points_one_batch(curve):
     pts = all_points(curve)
     rng = random.Random(curve.p)
     jobs = [[(rng.randrange(-curve.n, 2 * curve.n), P),
@@ -118,6 +120,28 @@ def test_every_pair_of_points_one_batch_tiny(curve):
             for P in pts for Q in pts]
     for job, got in zip(jobs, multi_mul(curve, jobs)):
         assert got == oracle_sum(curve, job), job
+
+
+@pytest.mark.parametrize("curve", TINY, ids=lambda c: c.curve_id)
+def test_every_point_every_scalar_tiny(curve):
+    every_point_every_scalar(curve)
+
+
+@pytest.mark.parametrize("curve", TINY, ids=lambda c: c.curve_id)
+def test_every_pair_of_points_one_batch_tiny(curve):
+    every_pair_of_points_one_batch(curve)
+
+
+@pytest.mark.parametrize("curve", TINY, ids=lambda c: c.curve_id)
+def test_every_point_already_cached_tiny(curve, cold_cache):
+    # Every point tabled first, with every level a scalar below 2n reaches,
+    # so that each one is warm from the first call of the checks.
+    pts = all_points(curve)
+    multi_mul(curve, [[(k, P)] for P in pts for k in range(2 * curve.n)])
+    assert {key[1:] for key in cold_cache if key[0] == curve.key} == {
+        (P.x, P.y) for P in pts if not P.is_infinity}
+    every_point_every_scalar(curve)
+    every_pair_of_points_one_batch(curve)
 
 
 def test_two_torsion_point_f11():
@@ -168,7 +192,7 @@ def test_repeated_bases_in_one_batch(curve):
     jobs.append([(curve.n - 1, curve.g), (1, curve.g)])
     for job, got in zip(jobs, multi_mul(curve, jobs)):
         assert got == oracle_sum(curve, job)
-    assert multi_mul(curve, jobs) == multi_mul(curve, jobs)  # cached g table
+    assert multi_mul(curve, jobs) == multi_mul(curve, jobs)  # cached tables
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)
@@ -288,7 +312,7 @@ def test_hypothesis_batches(curve):
 
 
 # ---------------------------------------------------------------------------
-# shifted tables: g always, and bases shared by enough completely folded jobs
+# shifted tables: warm bases, and bases shared by enough completely folded jobs
 
 
 def verify_shape(curve, rng, n):
@@ -328,10 +352,11 @@ def test_short_unshared_scalar_next_to_folded_digits(curve):
         assert got == oracle_sum(curve, job), job
 
 
-def test_verify_shape_builds_only_gs_first_level(monkeypatch):
-    # A one-shot verify needs g's digits only below the y_j digits, so it
-    # must not pay for g's shifted levels; h and tau get all of theirs.
-    monkeypatch.setattr(curve_module, "_G_TABLES", {})
+def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
+    # A one-shot verify needs g's digits only below the y_j digits, so on a
+    # cold cache it must not pay for g's shifted levels; h and tau get all
+    # of theirs.  The same verify again finds the y_j warm and folds them:
+    # their levels and g's are built then, once, and a third builds nothing.
     built = []
     odd_multiples = curve_module._odd_multiples
 
@@ -343,12 +368,64 @@ def test_verify_shape_builds_only_gs_first_level(monkeypatch):
     n = 8
     jobs = verify_shape(SECP256K1, random.Random(3), n)
     built.clear()  # verify_shape's own keygens built g's levels
-    curve_module._G_TABLES.clear()
-    multi_mul(SECP256K1, jobs)
-    assert len(curve_module._G_TABLES[SECP256K1]) == 1
+    cold_cache.clear()
+    g_key = (SECP256K1.key, SECP256K1.gx, SECP256K1.gy)
+    want = multi_mul(SECP256K1, jobs)
+    assert len(cold_cache[g_key]) == 1
+    assert len(cold_cache) == 1 + n + 2  # g, the y_j, h and tau
     assert built == [1 + n + 2 * 8]  # g, the y_j, 8 levels of h and of tau
-    random.Random(4).randrange(SECP256K1.n) * SECP256K1.g  # a keygen
-    assert len(curve_module._G_TABLES[SECP256K1]) == 8
+    assert multi_mul(SECP256K1, jobs) == want
+    assert built[1:] == [7 * (1 + n)]  # 7 more levels of g and of the y_j
+    assert multi_mul(SECP256K1, jobs) == want
+    assert built[2:] == []
+    assert {len(levels) for levels in cold_cache.values()} == {8}
+
+
+def test_cache_is_bounded_and_keeps_g(cold_cache):
+    # Every call on a curve uses its g's entry, so the one at risk is the g
+    # of a curve that has been idle the longest: test-31's here.
+    c, idle = SECP256K1, TEST_CURVE_31
+    size = curve_module._CACHE_SIZE
+    g_key, idle_key = (c.key, c.gx, c.gy), (idle.key, idle.gx, idle.gy)
+    19 * idle.g
+    idle_levels = cold_cache[idle_key]
+    random.Random(5).randrange(c.n) * c.g  # a keygen: all of g's levels
+    g_levels = cold_cache[g_key]
+    assert len(g_levels) == 8
+    kept = 7 * c.g  # used in every step, so never the least recent
+    P = 3 * c.g
+    keys = []
+    for _ in range(size + 8):
+        P = P + c.g
+        keys.append((c.key, P.x, P.y))
+        assert 3 * P == P + P + P
+        assert 2**100 * kept == oracle_mul(2**100, kept)
+        assert len(cold_cache) <= size
+        assert cold_cache[g_key] is g_levels
+        assert cold_cache[idle_key] is idle_levels
+    assert (c.key, kept.x, kept.y) in cold_cache
+    assert keys[-1] in cold_cache and keys[0] not in cold_cache
+    assert len(cold_cache) == size
+
+
+def test_parameter_sets_sharing_g_keep_their_own_levels(cold_cache):
+    # The same curve and generator as secp256k1 with another n: no GLV and
+    # F = 38 instead of 17, so reading secp256k1's levels of g or of P
+    # would give wrong points.  k < n, so the other n reduces nothing.
+    c = SECP256K1
+    other = CurveParams("other-n", c.p, c.a, c.b, c.gx, c.gy, 2**300 + 1)
+    rng = random.Random(19)
+    P = rng.randrange(c.n) * c.g
+    for _ in range(2):  # P's second call folds it: all its levels
+        rng.randrange(c.n) * P
+    for curve in (other, c, other):
+        for base in (curve.g, Point(curve, P.x, P.y)) * 2:  # cold, then warm
+            k = rng.randrange(c.n)
+            assert k * base == oracle_mul(k, base)
+    for x, y in ((c.gx, c.gy), (P.x, P.y)):
+        mine, theirs = cold_cache[(other.key, x, y)], cold_cache[(c.key, x, y)]
+        assert len(mine) == 7 and len(theirs) == 8  # ceil(301/38), ceil(129/17)
+        assert mine[1][0][:2] != theirs[1][0][:2]  # 2^38 * P, 2^17 * P
 
 
 @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.curve_id)

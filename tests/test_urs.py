@@ -49,6 +49,7 @@ from ringmix import (
     ring_verify,
     setup,
 )
+from ringmix import curve as curve_module
 from ringmix.curve import digest
 
 
@@ -397,6 +398,29 @@ def test_sign_verify_secp_roundtrip(pp_secp):
     sig = ring_sign(pp_secp, keys[2].sk, ring, b"mainnet-scale", rng)
     assert ring_verify(pp_secp, ring, b"mainnet-scale", sig)
     assert not ring_verify(pp_secp, ring, b"mainnet-scale!", sig)
+
+
+@pytest.mark.parametrize("size", [3, 8])  # h alone, and h shared and folded
+def test_sign_tables_each_base_once(pp_secp, size, monkeypatch, cold_cache):
+    # tau = sk*h tables h, and the commitments find it in the cache.
+    rng = random.Random(size)
+    keys = [ring_gen(pp_secp, rng) for _ in range(size)]
+    ring = canonical_ring([k.pk for k in keys])
+    h = ring_message_point(pp_secp, b"once", ring)
+    tabled = []
+    odd_multiples = curve_module._odd_multiples
+
+    def counting(Js, p, a):
+        tabled.extend((J[0], J[1]) for J in Js if J is not None and J[2] == 1)
+        return odd_multiples(Js, p, a)
+
+    monkeypatch.setattr(curve_module, "_odd_multiples", counting)
+    sig = ring_sign(pp_secp, keys[0].sk, ring, b"once", rng)
+    assert tabled.count((h.x, h.y)) == 1
+    others = [y for y in ring if y != keys[0].pk]  # c_i = 0 drops y_i
+    for P in (*others, sig.tau.point):
+        assert tabled.count((P.x, P.y)) == 1
+    assert ring_verify(pp_secp, ring, b"once", sig)
 
 
 def test_insecure_signature_never_verifies_under_honest_params(pp31, pp31_insecure):
