@@ -10,7 +10,9 @@ included.  Writes one JSON file: every run's environment and result line,
 and per workload and gated metric the median and quartiles of each side,
 the relative change of the medians, the number of pairs in which the
 change was better, and whether that makes a gain or a regression beyond
-the metric's bound (see ``summarize``).
+the metric's bound (see ``summarize``); and per workload and side the share
+of operations that failed, flagged where the change's is the higher (see
+``failure_shares``).
 
     python3 scripts/bench_pairs.py --parent HEAD --out BENCH_N.json
 
@@ -112,6 +114,29 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
     return summary
 
 
+def failure_shares(runs: list[dict]) -> dict:
+    """Per workload and side, the operations that failed out of those
+    attempted, summed over every result line that counts them; and
+    ``change_higher``, a failed share above the parent's, which the
+    benchmark's rules reject whatever the timings."""
+    shares: dict[str, dict] = {}
+    for r in runs:
+        if "attempted" in r["result"]:
+            side = shares.setdefault(r["workload"], {}).setdefault(
+                r["side"], {"attempted": 0, "failed": 0})
+            side["attempted"] += r["result"]["attempted"]
+            side["failed"] += r["result"]["failed"]
+    for sides in shares.values():
+        for side in sides.values():
+            side["share"] = (round(side["failed"] / side["attempted"], 6)
+                             if side["attempted"] else None)
+        parent, change = (sides.get(s, {}).get("share") for s in
+                          ("parent", "change"))
+        sides["change_higher"] = (parent is not None and change is not None
+                                  and change > parent)
+    return shares
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD",
@@ -155,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 "one run at a time, the parent exported by git archive",
         "order": "Odd seeds run the parent first, even seeds the change first.",
         "summary": summarize(runs, metrics),
+        "failures": failure_shares(runs),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -163,7 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     failed = [r["seq"] for r in runs if not r["result"].get("correct")]
     if failed:
         print(f"runs not correct: {failed}", file=sys.stderr)
-    return 1 if failed else 0
+    higher = [w for w, sides in doc["failures"].items() if sides["change_higher"]]
+    if higher:
+        print(f"more operations fail on the change: {higher}", file=sys.stderr)
+    return 1 if failed or higher else 0
 
 
 if __name__ == "__main__":

@@ -235,9 +235,9 @@ _VALIDATED: set[tuple] = set()
 class CurveParams:
     """Short-Weierstrass curve y^2 = x^3 + a*x + b over F_p with generator g.
 
-    n is the order of g.  All built-in curves have cofactor 1, so n is also
-    the full group order and scalar reduction mod n is valid for every
-    point on the curve.
+    n is the order of g and of the whole group (cofactor 1), as on every
+    built-in curve; ``validate()`` refuses any other parameter set, so
+    scalar reduction mod n is valid for every point on the curve.
     """
 
     __slots__ = ("curve_id", "p", "a", "b", "gx", "gy", "n")
@@ -279,7 +279,8 @@ class CurveParams:
         return (x * x * x + self.a * x + self.b) % self.p
 
     def validate(self) -> None:
-        """Check the published parameters actually describe a usable group.
+        """Check the published parameters actually describe a usable group,
+        of order n, generated by g.
 
         A parameter set that passed once returns at once; one that failed,
         or was changed since, is checked in full again.
@@ -297,6 +298,21 @@ class CurveParams:
         # pass; (n-1)*g == -g holds exactly when n*g is the identity.
         if (self.n - 1) * g != -g:
             raise CurveError(f"{self.curve_id}: n*g is not the identity")
+        # multi_mul reduces every scalar mod n, which is sound only when n
+        # kills every point: n must be the order of the group, and of g.
+        if self.p < 1 << 16:  # count the points; try each n/q, q dividing n
+            order = 1 + sum(1 + chi(self.rhs(x), self.p) for x in range(self.p))
+            if order != self.n:
+                raise CurveError(
+                    f"{self.curve_id}: the group has {order} points, not n")
+            if any(((self.n // q) * g).is_infinity
+                   for q in range(2, self.n + 1) if self.n % q == 0):
+                raise CurveError(f"{self.curve_id}: g has order below n")
+        else:  # Hasse: #E < (sqrt(p) + 1)^2 < 2n, so the prime n is #E
+            d = 2 * self.n - self.p - 1
+            if not (d > 0 and d * d > 4 * self.p and _is_probable_prime(self.n)):
+                raise CurveError(f"{self.curve_id}: n is not a prime above "
+                                 "(sqrt(p) + 1)^2 / 2")
         _VALIDATED.add(self.key)
 
     def __eq__(self, other):
@@ -472,16 +488,18 @@ class Point(_Frozen):
         x = int.from_bytes(data[1:], "big")
         if x >= curve.p:
             raise PointDecodeError("x coordinate out of range")
-        rhs = curve.rhs(x)
-        if chi(rhs, curve.p) < 0:
-            raise PointDecodeError(f"x = {x} is not on {curve.curve_id}")
-        y = sqrt_mod(rhs, curve.p)
+        try:  # one exponentiation, and its square checked once
+            y = sqrt_mod(curve.rhs(x), curve.p)
+        except NonResidueError:
+            raise PointDecodeError(f"x = {x} is not on {curve.curve_id}") from None
         want_odd = prefix == 0x03
         if y == 0 and want_odd:
             raise PointDecodeError("y = 0 point has no odd-parity encoding")
         if (y & 1) != want_odd:
             y = curve.p - y
-        return cls(curve, x, y)
+        pt = object.__new__(cls)  # y*y == rhs(x) holds: no second check
+        _Frozen.__init__(pt, curve, x, y)
+        return pt
 
 
 # ---------------------------------------------------------------------------
@@ -504,34 +522,48 @@ class Point(_Frozen):
 # 3.3.2).  S is the smallest multiple of F above every digit of the job's
 # other bases, so a job whose bases all fold doubles fewer than F times.
 #
+# Once the doublings fold away, a call's cost is its additions: at NAF
+# width w, about one per w + 1 bits of each scalar half (Moller, SAC 2001;
+# Guide to ECC, section 3.3).  So a folded base takes, in each call, the
+# width that makes the fewest additions in all: one step wider adds 2^(w-2)
+# entries to each of its _FOLDS levels, whether they are built now or later,
+# as every level of a base has one width, and saves about
+# bits/((w+1)(w+2)) additions for the bits of its scalar halves in the call.
+# g, h = H(m || R) and tau reach width 6 in a ring verify or sign of 11 or
+# more members, width 7 from 29 and width 8 from 74.  A ring member has one
+# job per call and stays at width 5, as does g in a keygen; an unfolded
+# base always does.  A base never narrows: a table of width w is a prefix
+# of one of width w + 1, so widening appends to each table in place, from
+# its last entry plus 2P, and rebuilds nothing.
+#
 # Every base a call tables keeps its levels in _CACHE, keyed by
 # (curve.key, x, y): an equal key is the same group, order and
 # endomorphism, so the same levels.  A base's first call builds what it
 # would without the cache, so a one-shot ``ringmix verify`` pays nothing
 # new.  Its next call finds it warm and builds its missing levels, once: at
-# n = 32 the first verify after a sign doubles 5040 times and adds 6980
-# times, against 4830 and 5790.  From then on a ring verified again and
-# again, as a mixing pool's is, doubles about 1150 times and adds 5500.
+# n = 32 the first verify after a sign doubles 5040 times and adds 6020
+# times, against 4830 and 5290 for the same verify on a cold cache.  From
+# then on a ring verified again and again, as a mixing pool's is, doubles
+# about 1020 times and adds 4510 (5510 with every base at width 5).
 #
-# The cache holds at most _CACHE_SIZE bases; past that it drops the least
-# recently used one that is not a curve's g.  A verify at ring size n uses
-# n + 3 bases (the members, h = H(m || R), tau and g): 72 holds the largest
-# ring the CLI bench times, 64, with its h, tau and g, the g of the other
-# two built-in curves and the h of one more message.  A larger ring keeps
-# warm the members it meets last.  On a curve with the endomorphism a
-# table holds (x, y, beta*x) triples, so the image (beta*x, y) of an entry
-# costs no multiplication at use.  All 8 levels of a secp256k1 base are then
-# 64 triples, about 16.5 KB (tracemalloc, stdlib ints; level 0 alone
-# 2.2 KB), so a full cache holds about 1.2 MB.  Images kept as separate
-# points took an entry to 20.7 KB; computed at each use, they made a keygen
-# 4% slower.
+# On a curve with the endomorphism a table holds (x, y, beta*x) triples, so
+# the image (beta*x, y) of an entry costs no multiplication at use; images
+# kept as separate points took 25% more memory, and computed at each use
+# they made a keygen 4% slower.  A secp256k1 point held is then about
+# 255 bytes (tracemalloc, stdlib ints): 8 levels take 16.7 KB at width 5,
+# 32.8 KB at width 6 and 65 KB at width 7.  The cache holds at most
+# _CACHE_POINTS points, about 1.4 MB; past that it drops the least
+# recently used base that is not a curve's g.  A larger ring keeps warm the
+# members it meets last.  g is never dropped, and so can take the cache
+# past its bound, but only once a batch of about 2500 jobs on g has paid
+# for width 12.
 
-_W = 5  # NAF width; a table holds the odd multiples P, 3P, ..., 15P
-_TABLE = 1 << (_W - 2)
+_W = 5  # the narrowest NAF width: a table of width w holds P, 3P, ...,
+# (2^(w-1) - 1)P, 2^(w-2) points
 
 # F is an eighth of a scalar half's bit length (129 on secp256k1, the whole
-# 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 levels,
-# 64 points, cover a base, about 1.2 ms to build; 1 on the test curves.
+# 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 levels
+# cover a base, about 1.2 ms to build at width 5; 1 on the test curves.
 _FOLDS = 8
 
 # A base that is not warm folds only when _SHARE jobs that fold completely
@@ -547,23 +579,32 @@ _FOLDS = 8
 _SHARE = 5
 
 
-def _odd_multiples(Js, p, a):
-    # [P, 3P, ..., (2*_TABLE - 1)P] in affine for every Jacobian P, two
-    # batch inversions in all.  P and any entry can be infinity on the tiny
-    # curves.
+def _odd_multiples(Js, tables, sizes, p, a):
+    # Extends each affine table of odd multiples [P, 3P, ...] of the
+    # Jacobian P in Js, which may still be empty, to its size in sizes, and
+    # returns the new entries of each; two batch inversions in all.  New
+    # entries follow the last one by 2P each.  P and any entry can be
+    # infinity on the tiny curves.
     twos = _to_affine([_jdouble(J, p, a) for J in Js], p)
     flat = []
-    for J, D in zip(Js, twos):
-        flat.append(J)
-        for _ in range(_TABLE - 1):
+    for J, table, size, D in zip(Js, tables, sizes, twos):
+        if table:
+            J = None if table[-1] is None else (table[-1][0], table[-1][1], 1)
+        else:
+            flat.append(J)
+        for _ in range(size - max(len(table), 1)):
             J = _jadd(J, D, p, a)
             flat.append(J)
     flat = _to_affine(flat, p)
-    return [flat[i:i + _TABLE] for i in range(0, len(flat), _TABLE)]
+    out, i = [], 0
+    for table, size in zip(tables, sizes):
+        out.append(flat[i:i + size - len(table)])
+        i += size - len(table)
+    return out
 
 
-def _wnaf(k):
-    # Nonzero digits of the width-_W non-adjacent form of k >= 0, as
+def _wnaf(k, w):
+    # Nonzero digits of the width-w non-adjacent form of k >= 0, as
     # (bit position, odd digit) pairs, least significant first.
     out = []
     pos = 0
@@ -571,12 +612,12 @@ def _wnaf(k):
         zeros = (k & -k).bit_length() - 1
         k >>= zeros
         pos += zeros
-        d = k & ((1 << _W) - 1)
-        if d >> (_W - 1):
-            d -= 1 << _W
+        d = k & ((1 << w) - 1)
+        if d >> (w - 1):
+            d -= 1 << w
         out.append((pos, d))
-        k = (k - d) >> _W  # the next _W - 1 digits are zero
-        pos += _W
+        k = (k - d) >> w  # the next w - 1 digits are zero
+        pos += w
     return out
 
 
@@ -589,33 +630,39 @@ def _glv_split(k, glv, n):
 
 
 # (curve.key, x, y) -> [table of 2^(F*i)*P for i = 0, 1, ...], least
-# recently used first.
+# recently used first; every table of a base has the same width.
 _CACHE: dict[tuple, list] = {}
-_CACHE_SIZE = 72
+# A 64-member ring at width 5 (8 levels of 8 points each), the g, h and
+# tau of its verify at width 7 (8 levels of 32), and the h and tau of one
+# more message: 5376 points, the room of 21 bases at width 7.
+_CACHE_POINTS = 21 * _FOLDS * 32
 
 
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     """For each job, a sequence of (k, P) terms, the point sum(k*P).
 
     k is an int or a Scalar mod n (any other residue raises
-    ModulusMismatchError) and is reduced mod n, g's order.  That rests on
-    the group having cofactor 1, as every built-in curve does: n then kills
-    every point, so k*P == (k mod n)*P.  Bases shared by several terms or
-    jobs share one table.
+    ModulusMismatchError) and is reduced mod n, g's order.  That is sound
+    because ``CurveParams.validate()`` refuses a parameter set unless n is
+    the order of the whole group: n then kills every point, so
+    k*P == (k mod n)*P.  Bases shared by several terms or jobs share one
+    table.
 
     Digits on a warm base (g, or one already in the cache) and on any base
     used by at least _SHARE jobs that fold completely are folded onto
     shifted tables; a job folds completely when each of its bases is such a
-    base, and then doubles fewer than F times (17 on secp256k1).  Every base
-    the call tables goes into the process-wide cache with its levels, at
-    most _CACHE_SIZE bases, least recently used out first, g never.  The
-    folds and the cache change which additions are made where, never their
-    number, and never the result.
+    base, and then doubles fewer than F times (17 on secp256k1).  A folded
+    base's NAF width is the one that makes fewest additions in this call,
+    counting the entries it would add to all _FOLDS of its levels, never
+    narrower than its cached tables.  Every base the call tables goes into
+    the process-wide cache with its levels, at most _CACHE_POINTS points,
+    least recently used out first, g never.  The folds, widths and cache
+    change which additions are made where, never the result.
     """
     p, a, n = mpz(curve.p), curve.a, curve.n
     glv = _GLV.get(curve)
     bases: dict[tuple, int] = {(curve.gx, curve.gy): 0}  # (x, y) -> index
-    plans = []  # per job, (base, endomorphism?, negative?, wNAF digits)
+    halves = []  # per job, (base, endomorphism?, negative?, |scalar half|)
     for job in jobs:
         plan = []
         for k, P in job:
@@ -631,8 +678,8 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             b = bases.setdefault((P.x, P.y), len(bases))
             for phi, kv in enumerate(_glv_split(k, glv, n) if glv else (k,)):
                 if kv:
-                    plan.append((b, phi, kv < 0, _wnaf(abs(kv))))
-        plans.append(plan)
+                    plan.append((b, phi, kv < 0, abs(kv)))
+        halves.append(plan)
 
     # Taken out of the cache here and put back as the most recent below, so
     # that this call's own bases are the last to be evicted.
@@ -642,7 +689,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
 
     # The largest set of bases in which each one not warm is used by
     # _SHARE jobs whose bases are all in the set.
-    uses = [{t[0] for t in plan} for plan in plans]
+    uses = [{t[0] for t in plan} for plan in halves]
     folded = set(range(len(bases)))
     while True:
         count = [0] * len(bases)
@@ -655,6 +702,22 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             break
         folded = keep
 
+    # One step wider adds 2^(w-2) entries to each of a base's _FOLDS
+    # levels, and saves about bits/(w+1) - bits/(w+2) of the additions its
+    # digits cost, for the bits of its scalar halves in this call.
+    bits = [0] * len(bases)
+    for plan in halves:
+        for b, _, _, kv in plan:
+            bits[b] += kv.bit_length()
+    widths = []
+    for b, lv in enumerate(levels):
+        w = len(lv[0]).bit_length() + 1 if lv else _W  # 2^(w-2) entries
+        while b in folded and _FOLDS * (w + 1) * (w + 2) << (w - 2) < bits[b]:
+            w += 1
+        widths.append(w)
+    plans = [[(b, phi, neg, _wnaf(kv, widths[b])) for b, phi, neg, kv in plan]
+             for plan in halves]
+
     half = (n.bit_length() + 1) // 2 + 1 if glv else n.bit_length()
     F = -(-half // _FOLDS)  # bits per level
     spans = []  # per job, S
@@ -666,32 +729,38 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         for b, _, _, digits in plan:
             need[b] = max(need[b], digits[-1][0] // S * (S // F) + 1)
 
-    todo = []  # (base, Jacobian 2^(F*i)*P) for each level still to build
+    todo = []  # (Jacobian P, its table, the size it grows to)
     for (x, y), b in bases.items():
-        have = len(levels[b])
-        if have >= need[b]:
-            continue
-        last = levels[b][-1][0] if have else (mpz(x), mpz(y))
+        lv, size = levels[b], 1 << (widths[b] - 2)
+        if lv and len(lv[0]) < size:  # widened: every level grows in place
+            todo += [(None if t[0] is None else (t[0][0], t[0][1], 1), t, size)
+                     for t in lv]
+        have = len(lv)
+        last = lv[-1][0] if have else (mpz(x), mpz(y))
         J = None if last is None else (last[0], last[1], 1)
         for i in range(have, need[b]):
             if i:
                 for _ in range(F):
                     J = _jdouble(J, p, a)
-            todo.append((b, J))
+            lv.append([])
+            todo.append((J, lv[-1], size))
     if todo:
-        built = _odd_multiples([J for _, J in todo], p, a)
-        for (b, _), table in zip(todo, built):
+        Js, tables, sizes = zip(*todo)
+        for table, new in zip(tables, _odd_multiples(Js, tables, sizes, p, a)):
             if glv:  # (x, y, beta*x): the endomorphism image is (beta*x, y)
-                table = [None if Q is None else (*Q, glv[0] * Q[0] % p)
-                         for Q in table]
-            levels[b].append(table)
+                new = [None if Q is None else (*Q, glv[0] * Q[0] % p)
+                       for Q in new]
+            table += new
     for xy, lv in zip(bases, levels):
         if lv:
             _CACHE[(key, *xy)] = lv
-    excess = len(_CACHE) - _CACHE_SIZE
-    if excess > 0:  # the least recently used, other than any curve's g
-        for k in [k for k in _CACHE if k[1:] != k[0][3:5]][:excess]:
-            del _CACHE[k]
+    if todo:  # the least recently used, other than any curve's g
+        held = sum(len(lv) * len(lv[0]) for lv in _CACHE.values())
+        for k in [k for k in _CACHE if k[1:] != k[0][3:5]]:
+            if held <= _CACHE_POINTS:
+                break
+            lv = _CACHE.pop(k)
+            held -= len(lv) * len(lv[0])
 
     out = []
     for plan, S in zip(plans, spans):

@@ -70,3 +70,21 @@ def test_unpaired_and_failed_runs_are_left_out():
     assert list(summary) == ["w"]
     assert summary["w"]["op_ms_p90"]["pairs_change_better"] == "9/9"
     assert summary["w"]["op_ms_p90"]["gain"] is True
+
+
+def test_failed_share_per_side_flags_a_higher_change():
+    rows = runs([(10.0, 100.0)] * 3, [(5.0, 200.0)] * 3)
+    for r in rows:
+        r["result"].update(attempted=100, failed=1 if r["side"] == "parent" else 2)
+    rows += runs([(1.0, 1.0)], [(1.0, 1.0)], workload="even")
+    for r in rows[-2:]:
+        r["result"].update(attempted=50, failed=0)
+    rows.append({"side": "change", "workload": "even", "seed": 2,
+                 "result": {"correct": False, "error": "crashed"}})
+    shares = bench_pairs.failure_shares(rows)
+    assert shares["w"] == {
+        "parent": {"attempted": 300, "failed": 3, "share": 0.01},
+        "change": {"attempted": 300, "failed": 6, "share": 0.02},
+        "change_higher": True}
+    assert shares["even"]["change"]["share"] == 0.0
+    assert shares["even"]["change_higher"] is False

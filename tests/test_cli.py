@@ -491,6 +491,11 @@ def _two_keys(workdir):
     make_keys(workdir, ["alice", "bob"])
 
 
+def _degenerate_key(workdir):
+    # erin's key is 7, and H("degenerate" || ring) has order 7 on test-31
+    make_keys(workdir, ["alice", "erin"], seed_base=15)
+
+
 def _deep_state_file(workdir):
     (workdir / "st.json").write_text("[" * 100_000)
 
@@ -511,8 +516,9 @@ STATE_ERRORS = {
                "mix", "create", "--denomination", "1", "--capacity", "2"),
         "error: missing/dir/x.json.lock: No such file or directory"),
     "degenerate-tag": (
-        None, ("--curve", "test-11", "--hash", "try-inc", "--seed", "1",
-               "bench", "--sizes", "2,4,8,12"),
+        _degenerate_key, ("--curve", "test-31", "--seed", "9", "sign",
+                          "--key", "erin.sk", "--ring", "ring.txt",
+                          "--msg", "degenerate"),
         "error: degenerate tag"),
     "keygen-out-missing-dir": (
         None, ("--curve", "test-31", "--seed", "1", "keygen",
@@ -626,6 +632,14 @@ def test_bench_reports_sizes(workdir):
         cols = line.split()
         assert cols[-1] == expected[cols[0]]
         assert float(cols[3]) > 0
+
+
+def test_bench_signs_with_a_key_that_gives_a_tag(workdir):
+    # With seed 7 the first key of a test-31 ring gives a degenerate tag at
+    # some size; the next key signs in its place.
+    res = run_cli("--curve", "test-31", "--seed", "7", "bench", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 5
 
 
 def test_bench_default_sizes_fit_the_curve(workdir):

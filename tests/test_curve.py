@@ -340,6 +340,20 @@ def test_y_zero_point_has_no_odd_encoding():
         Point.decode(c, bytes([0x03, 5]))
 
 
+@pytest.mark.parametrize("blob, message", [
+    (bytes([0x02, 8]), "x = 8 is not on test-11"),  # 8^3 + 7 = 2, a non-residue
+    (bytes([0x03, 5]), "y = 0 point has no odd-parity encoding"),
+    (bytes([0x04, 2]), "bad prefix byte 0x4"),
+    (bytes([0x02, 11]), "x coordinate out of range"),
+    (bytes([0x02, 0, 2]), "expected 2 bytes, got 3"),
+    (b"", "expected 2 bytes, got 0"),
+])
+def test_decode_rejection_messages(blob, message):
+    with pytest.raises(PointDecodeError) as err:
+        Point.decode(TEST_CURVE_11, blob)
+    assert str(err.value) == message
+
+
 def test_codec_roundtrip_sampled_secp():
     rng = random.Random(79)
     c = SECP256K1
@@ -360,7 +374,7 @@ def test_builtin_curves_validate(monkeypatch):
     calls = _count_prime_tests(monkeypatch)
     for curve in (SECP256K1, TEST_CURVE_31, TEST_CURVE_11):
         curve.validate()
-    assert calls == [SECP256K1.p, 31, 11]
+    assert calls == [SECP256K1.p, SECP256K1.n, 31, 11]
     assert len(curve_module._VALIDATED) == 3
 
 
@@ -379,6 +393,30 @@ def test_wrong_generator_order_rejected():
     bad = CurveParams(curve_id="bad-n", p=11, a=0, b=7, gx=4, gy=4, n=7)
     with pytest.raises(CurveError):
         bad.validate()
+
+
+def test_n_below_the_group_order_rejected():
+    # y^2 = x^3 + 1 over F_11 has 12 points, cyclic; T has order 12 and
+    # g = 2T order 6.  n = 6 passes n*g == 0, but reducing scalars mod 6
+    # would give 7*T == T + 6T as T, not (9, 2).
+    c = CurveParams(curve_id="e11", p=11, a=0, b=1, gx=7, gy=5, n=12)
+    c.validate()
+    T = c.g
+    assert 7 * T == Point(c, 9, 2)
+    bad = CurveParams(curve_id="e11-g2T", p=11, a=0, b=1, gx=2, gy=8, n=6)
+    assert (6 * Point(bad, 2, 8)).is_infinity
+    with pytest.raises(CurveError, match="the group has 12 points, not n"):
+        bad.validate()
+
+
+def test_n_a_multiple_of_the_order_of_g_rejected():
+    # n = 12 kills every point of that group, but g = 2T has order 6
+    bad = CurveParams(curve_id="e11-g2T", p=11, a=0, b=1, gx=2, gy=8, n=12)
+    with pytest.raises(CurveError, match="g has order below n"):
+        bad.validate()
+    # on a large p: n*g == 0 with n = 2 * the prime order of g
+    with pytest.raises(CurveError, match="n is not a prime above"):
+        _secp_copy(curve_id="secp-2n", n=2 * SECP256K1.n).validate()
 
 
 def test_composite_p_rejected():

@@ -144,6 +144,19 @@ def test_every_point_already_cached_tiny(curve, cold_cache):
     every_pair_of_points_one_batch(curve)
 
 
+@pytest.mark.parametrize("curve", TINY, ids=lambda c: c.curve_id)
+def test_every_point_cached_wide_tiny(curve, cold_cache):
+    # 3000 jobs on each point pay for width 7 there, so every table holds
+    # 32 odd multiples, most of them past n, and some infinity.
+    pts = all_points(curve)[1:]
+    jobs = [[(k % curve.n, P)] for P in pts for k in range(3000)]
+    for job, got in zip(jobs, multi_mul(curve, jobs)):
+        assert got == oracle_sum(curve, job)
+    assert {len(t) for lv in cold_cache.values() for t in lv} == {32}
+    every_point_every_scalar(curve)
+    every_pair_of_points_one_batch(curve)
+
+
 def test_two_torsion_point_f11():
     c = TEST_CURVE_11
     T = Point(c, 5, 0)
@@ -338,18 +351,22 @@ def test_verify_shapes(curve, n):
 def test_short_unshared_scalar_next_to_folded_digits(curve):
     # A job that does not fold completely but whose other scalar is short:
     # S then spans several levels, and folded digits above S index the
-    # level of 2^S*P, not of 2^F*P.
+    # level of 2^S*P, not of 2^F*P.  24 sharing jobs widen the shared
+    # bases on secp256k1, so those digits index wider tables.
     rng = random.Random(17)
     shorts = [2, 4, 8] if curve.n < 100 else [2**20 + 5, 2**40 + 1, 2**70 + 3]
     ys = [-curve.g] + sample_points(curve)[3:5]  # each in two jobs: unshared
-    shared = [rng.randrange(curve.n) * curve.g for _ in range(2)]
-    jobs = [[(rng.randrange(curve.n), P) for P in shared]
-            for _ in range(curve_module._SHARE)]
-    for s, y in zip(shorts, ys):
-        jobs += [[(s, y), (rng.randrange(curve.n), curve.g)],
-                 [(s, y), (rng.randrange(curve.n), shared[0])]]
-    for job, got in zip(jobs, multi_mul(curve, jobs)):
-        assert got == oracle_sum(curve, job), job
+    for sharing in (curve_module._SHARE, 24):
+        shared = [rng.randrange(curve.n) * curve.g for _ in range(2)]
+        jobs = [[(rng.randrange(curve.n), P) for P in shared]
+                for _ in range(sharing)]
+        for s, y in zip(shorts, ys):
+            jobs += [[(s, y), (rng.randrange(curve.n), curve.g)],
+                     [(s, y), (rng.randrange(curve.n), shared[0])]]
+        for job, got in zip(jobs, multi_mul(curve, jobs)):
+            assert got == oracle_sum(curve, job), job
+    if curve is SECP256K1:
+        assert widths(curve_module._CACHE, curve, shared) == [6, 6]
 
 
 def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
@@ -360,9 +377,9 @@ def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
     built = []
     odd_multiples = curve_module._odd_multiples
 
-    def counting(Js, p, a):
+    def counting(Js, tables, sizes, p, a):
         built.append(len(Js))
-        return odd_multiples(Js, p, a)
+        return odd_multiples(Js, tables, sizes, p, a)
 
     monkeypatch.setattr(curve_module, "_odd_multiples", counting)
     n = 8
@@ -381,11 +398,15 @@ def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
     assert {len(levels) for levels in cold_cache.values()} == {8}
 
 
+def held_points(cache):
+    return sum(len(levels) * len(levels[0]) for levels in cache.values())
+
+
 def test_cache_is_bounded_and_keeps_g(cold_cache):
     # Every call on a curve uses its g's entry, so the one at risk is the g
     # of a curve that has been idle the longest: test-31's here.
     c, idle = SECP256K1, TEST_CURVE_31
-    size = curve_module._CACHE_SIZE
+    bound = curve_module._CACHE_POINTS
     g_key, idle_key = (c.key, c.gx, c.gy), (idle.key, idle.gx, idle.gy)
     19 * idle.g
     idle_levels = cold_cache[idle_key]
@@ -393,19 +414,145 @@ def test_cache_is_bounded_and_keeps_g(cold_cache):
     g_levels = cold_cache[g_key]
     assert len(g_levels) == 8
     kept = 7 * c.g  # used in every step, so never the least recent
+    want = oracle_mul(2**100, kept)
     P = 3 * c.g
     keys = []
-    for _ in range(size + 8):
+    for _ in range(bound // 8 + 8):  # each P holds one level of 8 points
         P = P + c.g
         keys.append((c.key, P.x, P.y))
         assert 3 * P == P + P + P
-        assert 2**100 * kept == oracle_mul(2**100, kept)
-        assert len(cold_cache) <= size
+        assert 2**100 * kept == want
+        assert held_points(cold_cache) <= bound
         assert cold_cache[g_key] is g_levels
         assert cold_cache[idle_key] is idle_levels
     assert (c.key, kept.x, kept.y) in cold_cache
     assert keys[-1] in cold_cache and keys[0] not in cold_cache
-    assert len(cold_cache) == size
+    assert held_points(cold_cache) > bound - 8
+
+
+def test_wide_entries_count_by_their_points(cold_cache):
+    # A 32-member ring verified again and again, each time with a new h and
+    # tau, as a mixing pool's ring is: its members stay warm at width 5,
+    # each new h and tau holds 8 levels of 32 points, and those, not a
+    # count of bases, fill the cache.
+    c = SECP256K1
+    bound = curve_module._CACHE_POINTS
+    rng = random.Random(29)
+    ys = [rng.randrange(1, c.n) * c.g for _ in range(32)]
+    for round_ in range(10):
+        h, tau = (rng.randrange(1, c.n) * c.g for _ in range(2))
+        jobs = []
+        for y in ys:
+            t, ch = rng.randrange(c.n), rng.randrange(c.n)
+            jobs += [[(t, c.g), (ch, y)], [(t, h), (ch, tau)]]
+        got = multi_mul(c, jobs)
+        assert held_points(cold_cache) <= bound
+        assert all(len(cold_cache[(c.key, P.x, P.y)][0]) == 32
+                   for P in (c.g, h, tau))
+        if round_:
+            assert all(len(cold_cache[(c.key, y.x, y.y)]) == 8 for y in ys)
+    assert all(len(cold_cache[(c.key, y.x, y.y)][0]) == 8 for y in ys)
+    assert held_points(cold_cache) > bound - 2 * 256
+    assert len(cold_cache) < 48  # 72 bases would hold all 20 h and tau: 53
+    for job, P in zip(jobs[:8], got):
+        assert P == oracle_sum(c, job)
+
+
+def widths(cache, curve, points):
+    return [len(cache[(curve.key, P.x, P.y)][0]).bit_length() + 1
+            for P in points]
+
+
+def test_bases_shared_past_the_payback_widen(cold_cache):
+    # g, h and tau of a 12-member verify pay for width 6; the members,
+    # one job each, stay at width 5.
+    c = SECP256K1
+    jobs = verify_shape(c, random.Random(31), 12)
+    cold_cache.clear()
+    for job, got in zip(jobs, multi_mul(c, jobs)):
+        assert got == oracle_sum(c, job)
+    g, h, tau = c.g, jobs[1][0][1], jobs[1][1][1]
+    ys = [job[1][1] for job in jobs[0::2]]
+    assert widths(cold_cache, c, [g, h, tau]) == [6, 6, 6]
+    assert set(widths(cold_cache, c, ys)) == {5}
+
+
+def test_a_base_keeps_its_width_and_unfolded_bases_stay_narrow(cold_cache):
+    # 12 jobs on g and on U, each with a base of its own: g folds (it is
+    # always warm) and widens, though only its first level is built, as
+    # the other bases keep each job's doubling chain whole; U does not
+    # fold, so it stays at width 5 whatever its share.  A keygen then
+    # builds g's other levels at g's width.
+    c = SECP256K1
+    rng = random.Random(43)
+    U, *own = [rng.randrange(1, c.n) * c.g for _ in range(13)]
+    jobs = [[(rng.randrange(c.n), c.g), (rng.randrange(c.n), U),
+             (rng.randrange(c.n), P)] for P in own]
+    cold_cache.clear()
+    for job, got in zip(jobs, multi_mul(c, jobs)):
+        assert got == oracle_sum(c, job)
+    g_levels = cold_cache[(c.key, c.gx, c.gy)]
+    assert len(g_levels) == 1 and widths(cold_cache, c, [c.g, U]) == [6, 5]
+    k = rng.randrange(c.n)
+    assert k * c.g == oracle_mul(k, c.g)
+    assert len(g_levels) == 8 and {len(t) for t in g_levels} == {16}
+
+
+def test_widened_in_place_from_a_narrow_table(cold_cache):
+    # W is first tabled at width 5 by a call of its own, then widened by
+    # 24 jobs that share it: its table grows in place, keeping its first 8
+    # entries, and digits of either sign and on either GLV half read the
+    # appended entries and their endomorphism images.
+    c = SECP256K1
+    glv = _GLV[c]
+    rng = random.Random(37)
+    W = rng.randrange(1, c.n) * c.g
+    k0 = rng.randrange(c.n)
+    assert k0 * W == oracle_mul(k0, W)
+    level0 = cold_cache[(c.key, W.x, W.y)][0]
+    narrow = list(level0)
+    assert len(narrow) == 8
+    ks = [rng.randrange(c.n) for _ in range(24)]
+    halves = [_glv_split(k, glv, c.n) for k in ks]
+    assert {k1 < 0 for k1, _ in halves} == {k2 < 0 for _, k2 in halves} == {
+        True, False}
+    jobs = [[(k, W)] for k in ks]
+    for job, got in zip(jobs, multi_mul(c, jobs)):
+        assert got == oracle_sum(c, job)
+    levels = cold_cache[(c.key, W.x, W.y)]
+    assert levels[0] is level0 and level0[:8] == narrow
+    assert len(levels) == 8 and {len(t) for t in levels} == {16}  # width 6
+    beta = glv[0]
+    for i, (x, y, bx) in enumerate(level0):
+        assert Point(c, x, y) == oracle_mul(2 * i + 1, W)
+        assert bx == beta * x % c.p
+
+
+def test_narrow_shapes_build_what_they_built(monkeypatch, cold_cache):
+    # Below the payback (verifies of 8 or fewer members, keygens) every
+    # table has 8 entries, on a cold cache and on a warm one.
+    sizes = []
+    odd_multiples = curve_module._odd_multiples
+
+    def recording(Js, tables, sizes_, p, a):
+        assert not any(tables)  # nothing widens
+        sizes.extend(sizes_)
+        return odd_multiples(Js, tables, sizes_, p, a)
+
+    monkeypatch.setattr(curve_module, "_odd_multiples", recording)
+    c = SECP256K1
+    rng = random.Random(41)
+    for n in (4, 8):
+        jobs = verify_shape(c, rng, n)
+        cold_cache.clear()
+        for _ in range(3):
+            multi_mul(c, jobs)
+    for _ in range(3):
+        cold_cache.clear()
+        rng.randrange(c.n) * c.g
+        rng.randrange(c.n) * c.g
+    assert sizes and set(sizes) == {8}
+    assert {len(t) for lv in cold_cache.values() for t in lv} == {8}
 
 
 def test_parameter_sets_sharing_g_keep_their_own_levels(cold_cache):
