@@ -4,11 +4,11 @@ Curve parameters are data, not module constants: the exact same code paths
 run secp256k1 and the tiny desk-check curves (p = 11 and p = 31) that the
 test suite enumerates exhaustively.
 
-Two residue types are deliberately kept apart: ``FieldElement`` reduces
-modulo the base-field prime p and ``Scalar`` reduces modulo n, the order of
-the group generator.  Point coordinates live mod p, everything used as a
-scalar multiplier lives mod n, and mixing the two raises instead of
-silently producing garbage.
+Point coordinates are plain ints mod the base-field prime p.  Everything
+used as a scalar multiplier lives mod n, the order of the group generator,
+and the one residue type, ``Scalar``, carries that modulus: arithmetic
+between Scalars of different moduli, or a Scalar mod anything but n as a
+multiplier, raises instead of silently producing garbage.
 
 WARNING: nothing in this module is constant time.  Operation timing depends
 on operand values.  Every input hashed, signed, or verified by this package
@@ -38,7 +38,7 @@ class CurveError(RingmixError):
 
 
 class ModulusMismatchError(CurveError):
-    """Arithmetic attempted between residues of different moduli or kinds."""
+    """Arithmetic attempted between Scalars of different moduli."""
 
 
 class NonResidueError(CurveError):
@@ -84,11 +84,13 @@ class _Frozen:
 # Residues
 
 
-class _Residue(_Frozen):
-    """Integer residue with an attached modulus.
+class Scalar(_Frozen):
+    """Residue modulo n, the order of the curve generator.
 
-    Subclasses are not interchangeable: operations require the exact same
-    type and modulus on both sides.
+    Exponents and challenge values (the x_i, r_i, c_i, t_i of the signing
+    protocol) are Scalars.  Reducing them mod p instead of mod n is the
+    classic way to break verification, so arithmetic requires the same
+    modulus on both sides and raises ModulusMismatchError otherwise.
     """
 
     __slots__ = ("value", "modulus")
@@ -102,12 +104,8 @@ class _Residue(_Frozen):
     def _peer(self, other):
         # None means "not our kind of operand": the operator returns
         # NotImplemented so Python can try the other side (Point.__rmul__).
-        if not isinstance(other, _Residue):
+        if not isinstance(other, Scalar):
             return None
-        if type(other) is not type(self):
-            raise ModulusMismatchError(
-                f"cannot mix {type(self).__name__} with {type(other).__name__}"
-            )
         if other.modulus != self.modulus:
             raise ModulusMismatchError(
                 f"modulus mismatch: {self.modulus} vs {other.modulus}"
@@ -118,24 +116,24 @@ class _Residue(_Frozen):
         v = self._peer(other)
         if v is None:
             return NotImplemented
-        return type(self)(self.value + v, self.modulus)
+        return Scalar(self.value + v, self.modulus)
 
     def __sub__(self, other):
         v = self._peer(other)
         if v is None:
             return NotImplemented
-        return type(self)(self.value - v, self.modulus)
+        return Scalar(self.value - v, self.modulus)
 
     def __mul__(self, other):
         v = self._peer(other)
         if v is None:
             return NotImplemented
-        return type(self)(self.value * v, self.modulus)
+        return Scalar(self.value * v, self.modulus)
 
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other % self.modulus
-        if type(other) is not type(self):
+        if not isinstance(other, Scalar):
             return NotImplemented
         return self.modulus == other.modulus and self.value == other.value
 
@@ -143,34 +141,7 @@ class _Residue(_Frozen):
         return hash(self.value)
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.value} mod {self.modulus})"
-
-
-class Scalar(_Residue):
-    """Residue modulo n, the order of the curve generator.
-
-    Exponents and challenge values (the x_i, r_i, c_i, t_i of the signing
-    protocol) are Scalars.  Reducing them mod p instead of mod n is the
-    classic way to break verification, and the type split makes that a
-    loud error rather than a subtle one.
-    """
-
-    __slots__ = ()
-
-
-class FieldElement(_Residue):
-    """Residue modulo the base-field prime p (point coordinates live here)."""
-
-    __slots__ = ()
-
-    def sqrt(self) -> "FieldElement":
-        """Canonical square root a^((p+1)/4) mod p, for p = 3 mod 4.
-
-        Returns exactly that power (the other root is its negation).
-        Raises NonResidueError when no root exists; callers that cannot
-        tolerate the exception should check ``chi(a, p) >= 0`` first.
-        """
-        return FieldElement(sqrt_mod(self.value, self.modulus), self.modulus)
+        return f"Scalar({self.value} mod {self.modulus})"
 
 
 def chi(a: int, p: int) -> int:
@@ -268,9 +239,6 @@ class CurveParams:
     def scalar_bytes(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
-    def field(self, value: int) -> FieldElement:
-        return FieldElement(value, self.p)
-
     def scalar(self, value: int) -> Scalar:
         return Scalar(value, self.n)
 
@@ -289,6 +257,9 @@ class CurveParams:
             return
         if not _is_probable_prime(self.p):
             raise CurveError(f"{self.curve_id}: p is not prime")
+        if self.p % 4 != 3:  # every square root here is a^((p+1)/4)
+            raise CurveError(f"{self.curve_id}: p = 3 mod 4 required, got "
+                             f"p = {self.p % 4} mod 4")
         if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
             raise CurveError(f"{self.curve_id}: singular curve")
         g = self.g  # construction checks the curve equation
@@ -641,7 +612,7 @@ _CACHE_POINTS = 21 * _FOLDS * 32
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     """For each job, a sequence of (k, P) terms, the point sum(k*P).
 
-    k is an int or a Scalar mod n (any other residue raises
+    k is an int or a Scalar mod n (a Scalar of any other modulus raises
     ModulusMismatchError) and is reduced mod n, g's order.  That is sound
     because ``CurveParams.validate()`` refuses a parameter set unless n is
     the order of the whole group: n then kills every point, so
@@ -668,8 +639,8 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         for k, P in job:
             if P.curve != curve:
                 raise CurveError("batch mixes curves")
-            if isinstance(k, _Residue):
-                if type(k) is not Scalar or k.modulus != n:
+            if isinstance(k, Scalar):
+                if k.modulus != n:
                     raise ModulusMismatchError(f"{k!r} cannot scale a point, n = {n}")
                 k = k.value
             k = int(k) % n

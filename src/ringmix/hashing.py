@@ -28,7 +28,6 @@ import hashlib
 
 from .curve import (
     CurveParams,
-    FieldElement,
     Point,
     RingmixError,
     Scalar,
@@ -58,45 +57,48 @@ class HashVariant(enum.Enum):
 _TO_FIELD = b"\x01"
 _TO_SCALAR = b"\x02"
 
-# Default candidate budget for try-and-increment; the chance of exhausting
-# it on a near-half-density curve is about 2^-k.
+# Candidate budget for try-and-increment; the chance of exhausting it on a
+# near-half-density curve is about 2^-k.
 TRY_INCREMENT_LIMIT = 256
 
 
-def _digest_int(domain: bytes, counter: int, msg: bytes) -> int:
-    h = hashlib.sha256(domain + bytes([counter]) + msg).digest()
+def _digest_int(domain: bytes, msg: bytes) -> int:
+    # The zero byte after the tag is part of the pinned digest input: every
+    # point, tag and signature derived from a digest depends on it.
+    h = hashlib.sha256(domain + b"\x00" + msg).digest()
     return int.from_bytes(h, "big")
 
 
-def hash_to_field(msg: bytes, counter: int, curve: CurveParams) -> FieldElement:
-    """SHA-256 of (domain tag, counter byte, msg), reduced mod p."""
-    return curve.field(_digest_int(_TO_FIELD, counter, msg))
+def hash_to_field(msg: bytes, curve: CurveParams) -> int:
+    """SHA-256 of (domain tag, zero byte, msg), reduced mod p."""
+    return _digest_int(_TO_FIELD, msg) % curve.p
 
 
 def hash_to_scalar(msg: bytes, curve: CurveParams) -> Scalar:
-    """SHA-256 of (domain tag, zero counter byte, msg), reduced mod n.
+    """SHA-256 of (domain tag, zero byte, msg), reduced mod n.
 
     The reduction bias is below 2^-128 on secp256k1 because n is within
     2^129 of 2^256.
     """
-    return curve.scalar(_digest_int(_TO_SCALAR, 0, msg))
+    return curve.scalar(_digest_int(_TO_SCALAR, msg))
 
 
 # ---------------------------------------------------------------------------
 # Try and increment
 
 
-def try_and_increment_field(u: FieldElement, curve: CurveParams,
-                            limit: int = TRY_INCREMENT_LIMIT) -> Point:
-    """First x in u, u+1, ... whose cubic is a square, paired with its root."""
-    x = u.value
+def try_and_increment_field(x: int, curve: CurveParams) -> Point:
+    """First x' in x, x+1, ... (mod p) whose cubic is a square, paired with
+    its root; at most TRY_INCREMENT_LIMIT candidates."""
     p = curve.p
-    for _ in range(limit):
+    x %= p
+    for _ in range(TRY_INCREMENT_LIMIT):
         rhs = curve.rhs(x)
         if chi(rhs, p) >= 0:
             return Point(curve, x, sqrt_mod(rhs, p))
         x = (x + 1) % p
-    raise HashToCurveError(f"no curve point within {limit} increments")
+    raise HashToCurveError(
+        f"no curve point within {TRY_INCREMENT_LIMIT} increments")
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +132,11 @@ def ft_fallback_point(curve: CurveParams) -> Point:
     w, so they are pinned here; the distribution bias is two inputs out
     of p.
     """
-    return try_and_increment_field(curve.field(1), curve)
+    return try_and_increment_field(1, curve)
 
 
-def ft_map(t: FieldElement, curve: CurveParams) -> Point:
-    """Deterministic Fouque-Tibouchi encoding of a field element.
+def ft_map(t: int, curve: CurveParams) -> Point:
+    """Deterministic Fouque-Tibouchi encoding of a field element, t mod p.
 
     The published algorithm draws three random blinding factors r_i and
     evaluates the quadratic character of r_i^2 * v; since chi(r^2 v) always
@@ -146,7 +148,7 @@ def ft_map(t: FieldElement, curve: CurveParams) -> Point:
     """
     sqrt_m3, c1 = ft_constants(curve)
     p, b = curve.p, curve.b
-    tv = t.value
+    tv = t % p
     denom = (1 + b + tv * tv) % p
     if tv == 0 or denom == 0:
         return ft_fallback_point(curve)
@@ -174,7 +176,7 @@ def insecure_hash_exponent(msg: bytes, curve: CurveParams) -> Scalar:
     Anyone can evaluate this, which is precisely the flaw: a tag built as
     sk * (e * g) equals e * pk, a product of public values.
     """
-    return curve.scalar(_digest_int(_TO_FIELD, 0, msg))
+    return curve.scalar(_digest_int(_TO_FIELD, msg))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +185,9 @@ def insecure_hash_exponent(msg: bytes, curve: CurveParams) -> Scalar:
 
 def hash_to_curve(msg: bytes, curve: CurveParams, variant: HashVariant) -> Point:
     if variant is HashVariant.TRY_INCREMENT:
-        return try_and_increment_field(hash_to_field(msg, 0, curve), curve)
+        return try_and_increment_field(hash_to_field(msg, curve), curve)
     if variant is HashVariant.FT_DETERMINISTIC:
-        return ft_map(hash_to_field(msg, 0, curve), curve)
+        return ft_map(hash_to_field(msg, curve), curve)
     if variant is HashVariant.INSECURE_MULT_G:
         return insecure_hash_exponent(msg, curve) * curve.g
     raise ValueError(f"unknown hash variant {variant!r}")

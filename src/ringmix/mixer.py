@@ -114,9 +114,12 @@ class MixPool:
         if self.phase is not Phase.RING_PUBLISHED:
             raise PhaseError(f"{self.mix_id}: pool is {self.phase.value}, no ring")
         if self._ring is None:
-            self._ring = Ring(
-                Point.decode(curve, bytes.fromhex(pk)) for pk, _ in self.deposits
-            )
+            try:
+                pks = [bytes.fromhex(pk) for pk, _ in self.deposits]
+            except (ValueError, TypeError):
+                raise MixerError(
+                    f"{self.mix_id}: a deposit key is not hex") from None
+            self._ring = Ring(Point.decode(curve, pk) for pk in pks)
         return self._ring
 
 
@@ -433,6 +436,13 @@ def load_state(path: str) -> Mixer:
         ) from None
 
 
+def _int(value, what: str) -> int:
+    # JSON true and false load as bools, which are ints to Python.
+    if type(value) is not int:
+        raise MixerError(f"{what} is {type(value).__name__}, not an integer")
+    return value
+
+
 def _mixer_from_doc(doc) -> Mixer:
     if doc.get("version") != STATE_VERSION:
         raise MixerError(f"unsupported state version {doc.get('version')!r}")
@@ -447,19 +457,20 @@ def _mixer_from_doc(doc) -> Mixer:
         insecure_override=params.get("insecure_override", False),
     )
     mixer = Mixer(pp)
-    mixer._next_seq = doc["next_pool_seq"]
-    mixer.accounts = dict(doc["accounts"])
+    mixer._next_seq = _int(doc["next_pool_seq"], "next_pool_seq")
+    mixer.accounts = {address: _int(balance, f"account {address!r}")
+                      for address, balance in doc["accounts"].items()}
     for mix_id, rec in doc["pools"].items():
         pool = MixPool(
             mix_id=mix_id,
-            denomination=rec["denomination"],
-            capacity=rec["capacity"],
+            denomination=_int(rec["denomination"], f"{mix_id} denomination"),
+            capacity=_int(rec["capacity"], f"{mix_id} capacity"),
             phase=Phase(rec["phase"]),
             deposits=[(d["pk"], d["from"]) for d in rec["deposits"]],
             seen_tags={bytes.fromhex(t) for t in rec["seen_tags"]},
             payouts=[(pmt["address"], pmt["tag"]) for pmt in rec["payouts"]],
             refunds=list(rec["refunds"]),
-            balance=rec["balance"],
+            balance=_int(rec["balance"], f"{mix_id} balance"),
         )
         mixer.pools[mix_id] = pool
     return mixer

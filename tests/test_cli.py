@@ -397,6 +397,40 @@ def test_corrupt_state_file_is_state_error(workdir, name):
     assert "Traceback" not in res.stderr
 
 
+# Hand edits that load as JSON but not as a ledger: exit 3 and one line,
+# never a traceback and exit 1, which scripts read as REJECT.
+LEDGER_EDITS = {
+    "deposit-key-not-hex": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][0].update(pk="zz"),
+        ("ring", "--mix", "mix-0001"),
+        "error: mix-0001: a deposit key is not hex\n"),
+    "deposit-key-not-str": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][2].update(pk=5),
+        ("ring", "--mix", "mix-0001"),
+        "error: mix-0001: a deposit key is not hex\n"),
+    "next-pool-seq-str": (
+        lambda d: d.update(next_pool_seq="x"),
+        ("create", "--denomination", "1", "--capacity", "2"),
+        "error: st.json: next_pool_seq is str, not an integer\n"),
+    "account-balance-str": (
+        lambda d: d["accounts"].update({"acct-2": "x"}),
+        ("fund", "--account", "acct-2", "--amount", "1"),
+        "error: st.json: account 'acct-2' is str, not an integer\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_EDITS))
+def test_hand_edited_ledger_is_state_error(workdir, name):
+    change, args, error = LEDGER_EDITS[name]
+    path, _ = _published_pool_state(workdir)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    res = run_cli("--curve", "test-31", "--state", "st.json", "mix", *args,
+                  cwd=workdir)
+    assert (res.returncode, res.stdout, res.stderr) == (3, "", error)
+
+
 # sha256 of the state file the seeded lifecycle below leaves, as written by
 # json.dump(indent=2, sort_keys=True) before the state writer was replaced.
 LIFECYCLE_STATE_SHA256 = (

@@ -10,7 +10,6 @@ from conftest import brute_force_points, brute_force_squares
 from ringmix import (
     CurveError,
     CurveParams,
-    FieldElement,
     ModulusMismatchError,
     NonResidueError,
     OffCurveError,
@@ -32,25 +31,18 @@ from ringmix.urs import setup
 
 
 def test_addition_reduces():
-    assert FieldElement(10, 11) + FieldElement(5, 11) == FieldElement(4, 11)
+    assert Scalar(10, 11) + Scalar(5, 11) == Scalar(4, 11)
 
 
 def test_modulus_mismatch_rejected():
     with pytest.raises(ModulusMismatchError):
-        FieldElement(1, 11) + FieldElement(1, 31)
-
-
-def test_field_scalar_mix_rejected():
-    with pytest.raises(ModulusMismatchError):
-        FieldElement(1, 31) + Scalar(1, 31)
-    with pytest.raises(ModulusMismatchError):
-        Scalar(2, 21) * FieldElement(2, 21)
+        Scalar(1, 11) + Scalar(1, 31)
 
 
 def test_residues_are_immutable():
-    fe = FieldElement(5, 11)
+    s = Scalar(5, 11)
     with pytest.raises(AttributeError):
-        fe.value = 6
+        s.value = 6
 
 
 # ---------------------------------------------------------------------------
@@ -85,32 +77,32 @@ def test_chi_square_blinding_invariance():
 
 def test_sqrt_worked_example():
     # canonical root 4^((11+1)/4) = 4^3 = 64 = 9 mod 11, and 9^2 = 4
-    assert FieldElement(4, 11).sqrt() == FieldElement(9, 11)
+    assert sqrt_mod(4, 11) == 9
 
 
 def test_sqrt_zero():
-    assert FieldElement(0, 31).sqrt() == FieldElement(0, 31)
+    assert sqrt_mod(0, 31) == 0
 
 
 @pytest.mark.parametrize("p", [11, 31])
 def test_sqrt_roundtrip_exhaustive(p):
     for x in range(p):
-        root = FieldElement(x * x % p, p).sqrt()
-        assert root.value in (x, (p - x) % p)
-        assert root * root == FieldElement(x * x, p)
+        root = sqrt_mod(x * x % p, p)
+        assert root in (x, (p - x) % p)
+        assert root * root % p == x * x % p
 
 
 def test_sqrt_of_residues_squares_back():
     squares = brute_force_squares(31)
     for a in squares:
-        root = FieldElement(a, 31).sqrt()
-        assert (root * root).value == a
+        root = sqrt_mod(a, 31)
+        assert root * root % 31 == a
 
 
 def test_sqrt_nonresidue_raises():
     assert chi(2, 11) == -1
     with pytest.raises(NonResidueError):
-        FieldElement(2, 11).sqrt()
+        sqrt_mod(2, 11)
 
 
 def test_sqrt_requires_3_mod_4():
@@ -266,20 +258,14 @@ def test_group_law_sampled_secp():
     assert (A + (-A)).is_infinity
 
 
-# Every entry to the multiplication engine refuses a residue of the wrong kind
-# or modulus before it reduces k mod n.
+# Every entry to the multiplication engine refuses a Scalar of the wrong
+# modulus before it reduces k mod n.
 SCALE = {
     "rmul": lambda k, P: k * P,
     "multi_mul": lambda k, P: curve_module.multi_mul(P.curve, [[(k, P)]]),
     "dual_batch": lambda k, P: curve_module.dual_scalar_mul_batch(
         [(1, P, k, P)]),
 }
-
-
-@pytest.mark.parametrize("scale", SCALE.values(), ids=SCALE.keys())
-def test_fieldelement_cannot_scale_points(scale):
-    with pytest.raises(ModulusMismatchError):
-        scale(FieldElement(2, 31), Point(TEST_CURVE_31, 4, 3))
 
 
 @pytest.mark.parametrize("scale", SCALE.values(), ids=SCALE.keys())
@@ -423,6 +409,18 @@ def test_composite_p_rejected():
     bad = CurveParams(curve_id="bad-p", p=15, a=0, b=7, gx=1, gy=0, n=4)
     with pytest.raises(CurveError):
         bad.validate()
+
+
+def test_p_1_mod_4_rejected():
+    # y^2 = x^3 + 2 over F_13 is a cyclic group of prime order 19 generated
+    # by (1, 4), but 13 = 1 mod 4: no square root here could decode a point
+    # or hash to one, so the set is refused before anything uses it.
+    bad = CurveParams(curve_id="f13", p=13, a=0, b=2, gx=1, gy=4, n=19)
+    assert len(brute_force_points(bad)) + 1 == 19
+    with pytest.raises(CurveError, match="p = 3 mod 4 required"):
+        bad.validate()
+    with pytest.raises(CurveError, match="p = 3 mod 4 required"):
+        setup(128, bad, HashVariant.TRY_INCREMENT)
 
 
 def _count_prime_tests(monkeypatch):

@@ -11,7 +11,6 @@ import pytest
 from conftest import brute_force_points
 
 from ringmix import (
-    FieldElement,
     HashToCurveError,
     HashVariant,
     SECP256K1,
@@ -27,6 +26,7 @@ from ringmix import (
     try_and_increment_field,
 )
 from ringmix.curve import chi
+from ringmix import hashing
 from ringmix.hashing import ft_constants
 
 TRY_INC = HashVariant.TRY_INCREMENT
@@ -39,36 +39,29 @@ INSECURE = HashVariant.INSECURE_MULT_G
 
 
 def test_hash_to_field_deterministic():
-    a = hash_to_field(b"abc", 0, SECP256K1)
-    b = hash_to_field(b"abc", 0, SECP256K1)
+    a = hash_to_field(b"abc", SECP256K1)
+    b = hash_to_field(b"abc", SECP256K1)
     assert a == b
-
-
-def test_hash_to_field_counter_separates():
-    assert hash_to_field(b"abc", 0, SECP256K1) != hash_to_field(b"abc", 1, SECP256K1)
 
 
 def test_hash_to_field_reduced():
     for msg in (b"", b"abc", b"\xff" * 64):
-        assert 0 <= hash_to_field(msg, 0, TEST_CURVE_31).value < 31
-        assert 0 <= hash_to_field(msg, 0, SECP256K1).value < SECP256K1.p
+        assert 0 <= hash_to_field(msg, TEST_CURVE_31) < 31
+        assert 0 <= hash_to_field(msg, SECP256K1) < SECP256K1.p
 
 
 def test_hash_to_field_pinned_vectors():
-    # frozen regression values for msg "abc" on secp256k1
-    assert hash_to_field(b"abc", 0, SECP256K1).value == (
+    # frozen regression value for msg "abc" on secp256k1
+    assert hash_to_field(b"abc", SECP256K1) == (
         0x876F2E3599BDCC7BF41C2A1DF04CB73E666D54002084C4221BD9E3F9BC092BCA
-    )
-    assert hash_to_field(b"abc", 1, SECP256K1).value == (
-        0xF4D52637D84E96B6EDD5CB3AC0897ED4B3AA23478BD7960A14B191A66E646719
     )
 
 
 def test_hash_to_scalar_domain_separated():
     # same message bytes, different oracle: to-scalar != to-field mod n
     s = hash_to_scalar(b"abc", SECP256K1)
-    f = hash_to_field(b"abc", 0, SECP256K1)
-    assert s.value != f.value % SECP256K1.n
+    f = hash_to_field(b"abc", SECP256K1)
+    assert s.value != f % SECP256K1.n
     assert s.value == 0x78D2B57330E7FCA7060E3DFCDD350C04473A4FC3EAE9C9611E30BDEE2D401AE7
 
 
@@ -79,20 +72,32 @@ def test_hash_to_scalar_domain_separated():
 def test_increment_from_zero_worked_example():
     # u=0: x=0 gives 7 (non-residue mod 11), x=1 gives 8 (non-residue),
     # x=2 gives 4 whose canonical root is 9
-    P = try_and_increment_field(FieldElement(0, 11), TEST_CURVE_11)
+    P = try_and_increment_field(0, TEST_CURVE_11)
     assert (P.x, P.y) == (2, 9)
 
 
 def test_try_increment_on_curve_every_start_f31():
     for u in range(31):
-        P = try_and_increment_field(FieldElement(u, 31), TEST_CURVE_31)
+        P = try_and_increment_field(u, TEST_CURVE_31)
         assert not P.is_infinity  # Point construction already proves on-curve
 
 
-def test_try_increment_exhaustion_error():
-    # limit=1 starting from a non-residue x must fail
-    with pytest.raises(HashToCurveError):
-        try_and_increment_field(FieldElement(0, 11), TEST_CURVE_11, limit=1)
+def test_try_increment_exhaustion_error(monkeypatch):
+    # a budget of one candidate, starting from a non-residue x, must fail
+    monkeypatch.setattr(hashing, "TRY_INCREMENT_LIMIT", 1)
+    with pytest.raises(HashToCurveError, match="within 1 increments"):
+        try_and_increment_field(0, TEST_CURVE_11)
+
+
+def test_field_inputs_reduced_mod_p():
+    # both maps read their input mod p, as the hash's output always is
+    assert try_and_increment_field(11, TEST_CURVE_11) == (
+        try_and_increment_field(0, TEST_CURVE_11))
+    assert try_and_increment_field(-1, TEST_CURVE_31) == (
+        try_and_increment_field(30, TEST_CURVE_31))
+    for t in range(31):
+        assert ft_map(t + 31, TEST_CURVE_31) == ft_map(t, TEST_CURVE_31)
+        assert ft_map(t - 31, TEST_CURVE_31) == ft_map(t, TEST_CURVE_31)
 
 
 def test_try_increment_no_collisions_secp():
@@ -131,12 +136,12 @@ def test_ft_requires_7_mod_12():
     with pytest.raises(UnsupportedCurveError):
         ft_constants(TEST_CURVE_11)
     with pytest.raises(UnsupportedCurveError):
-        ft_map(FieldElement(3, 11), TEST_CURVE_11)
+        ft_map(3, TEST_CURVE_11)
 
 
 def test_ft_map_on_curve_exhaustive_f31():
     for t in range(31):
-        P = ft_map(FieldElement(t, 31), TEST_CURVE_31)
+        P = ft_map(t, TEST_CURVE_31)
         assert not P.is_infinity
         assert (P.y * P.y - (P.x ** 3 + 7)) % 31 == 0
 
@@ -144,14 +149,14 @@ def test_ft_map_on_curve_exhaustive_f31():
 def test_ft_map_negation_symmetry_f31():
     # chi(-t) = -chi(t) when p = 3 mod 4, so t and -t share x and negate y
     for t in range(1, 31):
-        P = ft_map(FieldElement(t, 31), TEST_CURVE_31)
-        Q = ft_map(FieldElement(31 - t, 31), TEST_CURVE_31)
+        P = ft_map(t, TEST_CURVE_31)
+        Q = ft_map(31 - t, TEST_CURVE_31)
         assert P.x == Q.x
         assert (P.y + Q.y) % 31 == 0
 
 
 def test_ft_map_deterministic():
-    t = FieldElement(5, 31)
+    t = 5
     assert ft_map(t, TEST_CURVE_31) == ft_map(t, TEST_CURVE_31)
 
 
@@ -161,7 +166,7 @@ def test_ft_degenerate_inputs_hit_fallback():
     # and mod the secp256k1 prime.
     fallback = ft_fallback_point(TEST_CURVE_31)
     assert (fallback.x, fallback.y) == (1, 16)
-    assert ft_map(FieldElement(0, 31), TEST_CURVE_31) == fallback
+    assert ft_map(0, TEST_CURVE_31) == fallback
     assert chi(-(1 + 7), 31) == -1
     assert chi(-(1 + 7) % SECP256K1.p, SECP256K1.p) == -1
     sec_fb = ft_fallback_point(SECP256K1)
@@ -171,7 +176,7 @@ def test_ft_degenerate_inputs_hit_fallback():
 def test_ft_image_size_matches_brute_force_oracle():
     image = {
         (P.x, P.y)
-        for P in (ft_map(FieldElement(t, 31), TEST_CURVE_31) for t in range(31))
+        for P in (ft_map(t, TEST_CURVE_31) for t in range(31))
     }
     curve_pts = set(map(tuple, brute_force_points(TEST_CURVE_31)))
     assert image <= curve_pts
@@ -191,6 +196,26 @@ def test_hash_to_curve_ft_deterministic_and_pinned():
     )
 
 
+# frozen regressions, like the FT vector above: (msg, compressed point) for
+# the other two variants on secp256k1
+PINNED_POINTS = {
+    TRY_INC: [
+        (b"abc", "03876f2e3599bdcc7bf41c2a1df04cb73e666d54002084c4221bd9e3f9bc092bca"),
+        (b"", "0247dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254"),
+    ],
+    INSECURE: [
+        (b"abc", "03334bf50099c03b90b7106a0d443f08502ff4e0447f79b5d12a0d5ebdcd8548c8"),
+        (b"", "03266160b4558fb556fe3bed762d5e05493d7402dbfa7328b99ebbd4b5f817e447"),
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", PINNED_POINTS, ids=lambda v: v.value)
+def test_hash_to_curve_pinned(variant):
+    for msg, want in PINNED_POINTS[variant]:
+        assert hash_to_curve(msg, SECP256K1, variant).encode().hex() == want
+
+
 def test_hash_to_curve_ft_differs_from_try_increment():
     assert hash_to_curve(b"abc", SECP256K1, FT) != (
         hash_to_curve(b"abc", SECP256K1, TRY_INC))
@@ -204,7 +229,7 @@ def test_hash_to_curve_ft_on_curve_many_messages():
 
 def test_dispatch_matches_variants():
     msg = b"dispatch"
-    u = hash_to_field(msg, 0, SECP256K1)
+    u = hash_to_field(msg, SECP256K1)
     assert hash_to_curve(msg, SECP256K1, TRY_INC) == (
         try_and_increment_field(u, SECP256K1)
     )

@@ -579,6 +579,19 @@ BAD_DOCUMENTS = {
         doc, lambda d: _pool(d).update(seen_tags=["zz"])),
     "version": lambda doc: _with(doc, lambda d: d.update(version=2)),
     "deep-nesting": lambda doc: "[" * 100_000,
+    "next-seq-str": lambda doc: _with(doc, lambda d: d.update(next_pool_seq="x")),
+    "next-seq-bool": lambda doc: _with(
+        doc, lambda d: d.update(next_pool_seq=True)),
+    "account-str": lambda doc: _with(
+        doc, lambda d: d["accounts"].update({"acct-0": "x"})),
+    "account-float": lambda doc: _with(
+        doc, lambda d: d["accounts"].update({"acct-0": 1.0})),
+    "denomination-str": lambda doc: _with(
+        doc, lambda d: _pool(d).update(denomination="1")),
+    "capacity-bool": lambda doc: _with(
+        doc, lambda d: _pool(d).update(capacity=False)),
+    "pool-balance-null": lambda doc: _with(
+        doc, lambda d: _pool(d).update(balance=None)),
 }
 
 
