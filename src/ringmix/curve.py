@@ -18,6 +18,7 @@ context where secret-dependent timing matters.
 
 from __future__ import annotations
 
+from collections import Counter
 import hashlib
 
 try:
@@ -537,9 +538,9 @@ _W = 5  # the narrowest NAF width: a table of width w holds P, 3P, ...,
 # cover a base, about 1.2 ms to build at width 5; 1 on the test curves.
 _FOLDS = 8
 
-# A base that is not warm folds only when _SHARE jobs that fold completely
-# use it.  Its first sighting then costs 7 more levels of F doublings and 7
-# more tables (1 doubling, 7 additions each), about 126 doublings and 49
+# A base that is not warm folds only when _SHARE jobs of the call use it.
+# Its first sighting then costs 7 more levels of F doublings and 7 more
+# tables (1 doubling, 7 additions each), about 126 doublings and 49
 # additions on secp256k1.  At 6.1 us per doubling and 6.9 us per addition
 # that is 1.1 ms, against 0.7 ms (112 doublings) saved per job that then
 # folds; timed, with the batch normalization and the endomorphism images,
@@ -620,15 +621,15 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     table.
 
     Digits on a warm base (g, or one already in the cache) and on any base
-    used by at least _SHARE jobs that fold completely are folded onto
-    shifted tables; a job folds completely when each of its bases is such a
-    base, and then doubles fewer than F times (17 on secp256k1).  A folded
-    base's NAF width is the one that makes fewest additions in this call,
-    counting the entries it would add to all _FOLDS of its levels, never
-    narrower than its cached tables.  Every base the call tables goes into
-    the process-wide cache with its levels, at most _CACHE_POINTS points,
-    least recently used out first, g never.  The folds, widths and cache
-    change which additions are made where, never the result.
+    used by at least _SHARE jobs of the call are folded onto shifted
+    tables; a job whose bases all fold doubles fewer than F times (17 on
+    secp256k1).  A folded base's NAF width is the one that makes fewest
+    additions in this call, counting the entries it would add to all
+    _FOLDS of its levels, never narrower than its cached tables.  Every
+    base the call tables goes into the process-wide cache with its levels,
+    at most _CACHE_POINTS points, least recently used out first, g never.
+    The folds, widths and cache change which additions are made where,
+    never the result.
     """
     p, a, n = mpz(curve.p), curve.a, curve.n
     glv = _GLV.get(curve)
@@ -656,22 +657,9 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     # that this call's own bases are the last to be evicted.
     key = curve.key
     levels = [_CACHE.pop((key, *xy), []) for xy in bases]
-    warm = {0} | {b for b, lv in enumerate(levels) if lv}
-
-    # The largest set of bases in which each one not warm is used by
-    # _SHARE jobs whose bases are all in the set.
-    uses = [{t[0] for t in plan} for plan in halves]
-    folded = set(range(len(bases)))
-    while True:
-        count = [0] * len(bases)
-        for used in uses:
-            if used <= folded:
-                for b in used:
-                    count[b] += 1
-        keep = {b for b in folded if b in warm or count[b] >= _SHARE}
-        if keep == folded:
-            break
-        folded = keep
+    jobs_on = Counter(b for plan in halves for b in {t[0] for t in plan})
+    folded = {0} | {b for b, lv in enumerate(levels)
+                    if lv or jobs_on[b] >= _SHARE}
 
     # One step wider adds 2^(w-2) entries to each of a base's _FOLDS
     # levels, and saves about bits/(w+1) - bits/(w+2) of the additions its

@@ -28,6 +28,7 @@ import hashlib
 
 from .curve import (
     CurveParams,
+    NonResidueError,
     Point,
     RingmixError,
     Scalar,
@@ -93,10 +94,10 @@ def try_and_increment_field(x: int, curve: CurveParams) -> Point:
     p = curve.p
     x %= p
     for _ in range(TRY_INCREMENT_LIMIT):
-        rhs = curve.rhs(x)
-        if chi(rhs, p) >= 0:
-            return Point(curve, x, sqrt_mod(rhs, p))
-        x = (x + 1) % p
+        try:
+            return Point(curve, x, sqrt_mod(curve.rhs(x), p))
+        except NonResidueError:
+            x = (x + 1) % p
     raise HashToCurveError(
         f"no curve point within {TRY_INCREMENT_LIMIT} increments")
 
@@ -138,13 +139,12 @@ def ft_fallback_point(curve: CurveParams) -> Point:
 def ft_map(t: int, curve: CurveParams) -> Point:
     """Deterministic Fouque-Tibouchi encoding of a field element, t mod p.
 
-    The published algorithm draws three random blinding factors r_i and
-    evaluates the quadratic character of r_i^2 * v; since chi(r^2 v) always
-    equals chi(v), the blinding only masks timing and is dropped here so
-    the map is a pure function (the character tests below use v directly).
-    The w line multiplies by sqrt(-3), and the returned y is the root of
-    the selected x_i's cubic; the exhaustive on-curve test over F_31 pins
-    both choices.
+    Of three candidates x1, x2, x3 it keeps the first whose cubic's root
+    a^((p+1)/4) squares back; the three cubics multiply to a square, so
+    one always does.  All three roots are taken, so the operation count
+    is fixed.  The w line multiplies by sqrt(-3), and y is the kept root
+    times chi(t); the exhaustive on-curve test over F_31 pins both
+    choices.
     """
     sqrt_m3, c1 = ft_constants(curve)
     p, b = curve.p, curve.b
@@ -156,14 +156,12 @@ def ft_map(t: int, curve: CurveParams) -> Point:
     x1 = (c1 - tv * w) % p
     x2 = (-1 - x1) % p
     x3 = (1 + pow(w * w % p, -1, p)) % p
-    alpha = chi(curve.rhs(x1), p)
-    beta = chi(curve.rhs(x2), p)
-    # alpha, beta never vanish on an odd-order curve (no y = 0 points), and
-    # when both are -1 the third cubic is forced to be a square.
-    i = ((alpha - 1) * beta) % 3 + 1
-    x = (x1, x2, x3)[i - 1]
-    y = chi(tv, p) * sqrt_mod(curve.rhs(x), p) % p
-    return Point(curve, x, y)
+    cubics = [(x, curve.rhs(x)) for x in (x1, x2, x3)]
+    roots = [pow(v, (p + 1) // 4, p) for _, v in cubics]
+    for (x, v), y in zip(cubics, roots):
+        if y * y % p == v:
+            return Point(curve, x, chi(tv, p) * y % p)
+    raise HashToCurveError(f"no candidate for t = {tv} is on {curve.curve_id}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import contextlib
 import enum
+from itertools import chain
+from operator import itemgetter
 import os
 import shutil
 
-from .curve import CurveParams, CURVES, Point, RingmixError, Scalar
+from .curve import CurveError, CurveParams, CURVES, Point, RingmixError, Scalar
 from .hashing import HashVariant, insecure_hash_exponent
 from .urs import (
     PublicParams,
     Ring,
+    RingError,
     RingSizeMismatchError,
     Signature,
     SignatureFormatError,
@@ -115,11 +118,13 @@ class MixPool:
             raise PhaseError(f"{self.mix_id}: pool is {self.phase.value}, no ring")
         if self._ring is None:
             try:
-                pks = [bytes.fromhex(pk) for pk, _ in self.deposits]
+                self._ring = Ring(Point.decode(curve, bytes.fromhex(pk))
+                                  for pk, _ in self.deposits)
             except (ValueError, TypeError):
                 raise MixerError(
                     f"{self.mix_id}: a deposit key is not hex") from None
-            self._ring = Ring(Point.decode(curve, pk) for pk in pks)
+            except (CurveError, RingError) as exc:
+                raise MixerError(f"{self.mix_id}: deposit key: {exc}") from None
         return self._ring
 
 
@@ -469,8 +474,13 @@ def _mixer_from_doc(doc) -> Mixer:
             deposits=[(d["pk"], d["from"]) for d in rec["deposits"]],
             seen_tags={bytes.fromhex(t) for t in rec["seen_tags"]},
             payouts=[(pmt["address"], pmt["tag"]) for pmt in rec["payouts"]],
-            refunds=list(rec["refunds"]),
+            refunds=rec["refunds"],
             balance=_int(rec["balance"], f"{mix_id} balance"),
         )
+        # A string would pass as refunds.  Keys are left to MixPool.ring.
+        strings = chain(pool.refunds, map(itemgetter(1), pool.deposits),
+                        *pool.payouts)
+        if type(rec["refunds"]) is not list or set(map(type, strings)) - {str}:
+            raise MixerError(f"{mix_id}: an account or tag is not a string")
         mixer.pools[mix_id] = pool
     return mixer

@@ -416,6 +416,23 @@ LEDGER_EDITS = {
         lambda d: d["accounts"].update({"acct-2": "x"}),
         ("fund", "--account", "acct-2", "--amount", "1"),
         "error: st.json: account 'acct-2' is str, not an integer\n"),
+    "deposit-key-not-a-point": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][0].update(pk="02ff"),
+        ("ring", "--mix", "mix-0001"),
+        "error: mix-0001: deposit key: x coordinate out of range\n"),
+    "deposit-key-twice": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][1].update(
+            pk=d["pools"]["mix-0001"]["deposits"][0]["pk"]),
+        ("ring", "--mix", "mix-0001"),
+        "error: mix-0001: deposit key: duplicate ring member\n"),
+    "refunds-str": (
+        lambda d: d["pools"]["mix-0001"].update(refunds="abc"),
+        ("status", "--mix", "mix-0001"),
+        "error: st.json: mix-0001: an account or tag is not a string\n"),
+    "deposit-funder-int": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][0].update({"from": 7}),
+        ("fund", "--account", "acct-2", "--amount", "1"),
+        "error: st.json: mix-0001: an account or tag is not a string\n"),
 }
 
 

@@ -592,6 +592,16 @@ BAD_DOCUMENTS = {
         doc, lambda d: _pool(d).update(capacity=False)),
     "pool-balance-null": lambda doc: _with(
         doc, lambda d: _pool(d).update(balance=None)),
+    "refunds-str": lambda doc: _with(
+        doc, lambda d: _pool(d).update(refunds="abc")),
+    "refund-int": lambda doc: _with(
+        doc, lambda d: _pool(d).update(refunds=[7])),
+    "deposit-funder-int": lambda doc: _with(
+        doc, lambda d: _pool(d)["deposits"][0].update({"from": 7})),
+    "payout-address-int": lambda doc: _with(
+        doc, lambda d: _pool(d).update(payouts=[{"address": 7, "tag": "00"}])),
+    "payout-tag-int": lambda doc: _with(
+        doc, lambda d: _pool(d).update(payouts=[{"address": "a", "tag": 7}])),
 }
 
 

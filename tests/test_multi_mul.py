@@ -477,12 +477,12 @@ def test_bases_shared_past_the_payback_widen(cold_cache):
     assert set(widths(cold_cache, c, ys)) == {5}
 
 
-def test_a_base_keeps_its_width_and_unfolded_bases_stay_narrow(cold_cache):
+def test_a_base_keeps_its_width_and_a_shared_cold_base_widens(cold_cache):
     # 12 jobs on g and on U, each with a base of its own: g folds (it is
-    # always warm) and widens, though only its first level is built, as
-    # the other bases keep each job's doubling chain whole; U does not
-    # fold, so it stays at width 5 whatever its share.  A keygen then
-    # builds g's other levels at g's width.
+    # always warm), U folds (12 jobs of the call use it), and both widen,
+    # though only their first level is built, as the bases of their own
+    # keep each job's doubling chain whole.  A keygen then builds g's
+    # other levels at g's width.
     c = SECP256K1
     rng = random.Random(43)
     U, *own = [rng.randrange(1, c.n) * c.g for _ in range(13)]
@@ -492,7 +492,7 @@ def test_a_base_keeps_its_width_and_unfolded_bases_stay_narrow(cold_cache):
     for job, got in zip(jobs, multi_mul(c, jobs)):
         assert got == oracle_sum(c, job)
     g_levels = cold_cache[(c.key, c.gx, c.gy)]
-    assert len(g_levels) == 1 and widths(cold_cache, c, [c.g, U]) == [6, 5]
+    assert len(g_levels) == 1 and widths(cold_cache, c, [c.g, U]) == [6, 6]
     k = rng.randrange(c.n)
     assert k * c.g == oracle_mul(k, c.g)
     assert len(g_levels) == 8 and {len(t) for t in g_levels} == {16}
