@@ -12,7 +12,8 @@ the relative change of the medians, the number of pairs in which the
 change was better, and whether that makes a gain or a regression beyond
 the metric's bound (see ``summarize``); and per workload and side the share
 of operations that failed, flagged where the change's is the higher (see
-``failure_shares``).
+``failure_shares``); and the line count of ``src/ringmix/*.py`` on each
+side (see ``src_lines``).
 
     python3 scripts/bench_pairs.py --parent HEAD --out BENCH_N.json
 
@@ -23,6 +24,7 @@ neither imports from bytecode that the other had to compile.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -67,6 +69,15 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result = {"correct": False, "error": child.stderr.strip()[-2000:]}
     return {"environment": environment, "result": result,
             "exit": child.returncode}
+
+
+def src_lines(tree: str) -> int:
+    """Lines in ``src/ringmix/*.py`` under ``tree``, as ``wc -l`` counts."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "ringmix", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def spread(values: list[float]) -> dict:
@@ -156,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     runs: list[dict] = []
     try:
         export(parent_commit, parent_tree)
+        lines = {"parent": src_lines(parent_tree), "change": src_lines(ROOT)}
         trees = {"parent": parent_tree, "change": ROOT}
         for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
@@ -181,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         "order": "Odd seeds run the parent first, even seeds the change first.",
         "summary": summarize(runs, metrics),
         "failures": failure_shares(runs),
+        "src_lines": lines,
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

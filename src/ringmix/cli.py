@@ -207,7 +207,10 @@ def cmd_link(args, pp: PublicParams) -> int:
 
 @contextlib.contextmanager
 def _state_lock(path: str):
-    # Closing the file releases the lock.
+    # Beside the file that save_state replaces, so that a symlink and its
+    # target take one lock.  Closing the file releases the lock.
+    if os.path.islink(path):
+        path = os.path.realpath(path)
     with open(path + ".lock", "w") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         yield

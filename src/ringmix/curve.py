@@ -1,8 +1,10 @@
-"""Finite field and short-Weierstrass curve arithmetic.
+"""Finite field and curve arithmetic on y^2 = x^3 + b.
 
-Curve parameters are data, not module constants: the exact same code paths
-run secp256k1 and the tiny desk-check curves (p = 11 and p = 31) that the
-test suite enumerates exhaustively.
+That is secp256k1's family, the one curve form ringmix runs, and the form
+on which the GLV endomorphism below and the Fouque-Tibouchi map in
+``hashing`` are defined.  Curve parameters are data, not module constants:
+the exact same code paths run secp256k1 and the tiny desk-check curves
+(p = 11 and p = 31) that the test suite enumerates exhaustively.
 
 Point coordinates are plain ints mod the base-field prime p.  Everything
 used as a scalar multiplier lives mod n, the order of the group generator,
@@ -204,29 +206,24 @@ def _is_probable_prime(m: int) -> bool:
 _VALIDATED: set[tuple] = set()
 
 
-class CurveParams:
-    """Short-Weierstrass curve y^2 = x^3 + a*x + b over F_p with generator g.
+class CurveParams(_Frozen):
+    """Curve y^2 = x^3 + b over F_p with generator g; immutable.
 
     n is the order of g and of the whole group (cofactor 1), as on every
     built-in curve; ``validate()`` refuses any other parameter set, so
-    scalar reduction mod n is valid for every point on the curve.
+    scalar reduction mod n is valid for every point on the curve.  Equal
+    and hashed by ``key``, whatever the curve_id.
     """
 
-    __slots__ = ("curve_id", "p", "a", "b", "gx", "gy", "n")
+    __slots__ = ("curve_id", "p", "b", "gx", "gy", "n")
 
-    def __init__(self, curve_id: str, p: int, a: int, b: int, gx: int, gy: int, n: int):
-        self.curve_id = curve_id
-        self.p = p
-        self.a = a
-        self.b = b
-        self.gx = gx
-        self.gy = gy
-        self.n = n
+    def __init__(self, curve_id: str, p: int, b: int, gx: int, gy: int, n: int):
+        super().__init__(curve_id, p, b, gx, gy, n)
 
     @property
     def key(self) -> tuple:
-        """(p, a, b, gx, gy, n): equal keys are the same group and generator."""
-        return (self.p, self.a, self.b, self.gx, self.gy, self.n)
+        """(p, b, gx, gy, n): equal keys are the same group and generator."""
+        return (self.p, self.b, self.gx, self.gy, self.n)
 
     @property
     def g(self) -> "Point":
@@ -244,15 +241,15 @@ class CurveParams:
         return Scalar(value, self.n)
 
     def rhs(self, x: int) -> int:
-        """x^3 + a*x + b mod p."""
-        return (x * x * x + self.a * x + self.b) % self.p
+        """x^3 + b mod p."""
+        return (x * x * x + self.b) % self.p
 
     def validate(self) -> None:
         """Check the published parameters actually describe a usable group,
         of order n, generated by g.
 
-        A parameter set that passed once returns at once; one that failed,
-        or was changed since, is checked in full again.
+        A parameter set that passed once returns at once; one that failed
+        is checked in full again.
         """
         if self.key in _VALIDATED:
             return
@@ -261,7 +258,7 @@ class CurveParams:
         if self.p % 4 != 3:  # every square root here is a^((p+1)/4)
             raise CurveError(f"{self.curve_id}: p = 3 mod 4 required, got "
                              f"p = {self.p % 4} mod 4")
-        if (4 * self.a**3 + 27 * self.b**2) % self.p == 0:
+        if 27 * self.b**2 % self.p == 0:  # b = 0, or any b when p = 3
             raise CurveError(f"{self.curve_id}: singular curve")
         g = self.g  # construction checks the curve equation
         if self.n < 2:
@@ -308,22 +305,18 @@ class CurveParams:
 # of 256-bit work when available.
 
 
-def _jdouble(J, p, a):
+def _jdouble(J, p):
     if J is None or not J[1]:
         return None  # 2-torsion doubles to infinity
     X, Y, Z = J
     YY = Y * Y % p
     S = 4 * X * YY % p
-    M = 3 * X * X
-    if a:
-        ZZ = Z * Z % p
-        M += a * ZZ * ZZ
-    M %= p
+    M = 3 * X * X % p
     X3 = (M * M - 2 * S) % p
     return (X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p)
 
 
-def _jadd(J, Q, p, a):
+def _jadd(J, Q, p):
     # Jacobian J plus affine Q; only Q's first two entries, x and y, are read.
     if Q is None:
         return J
@@ -334,7 +327,7 @@ def _jadd(J, Q, p, a):
     H = (Q[0] * ZZ - X1) % p
     r = (Q[1] * ZZ * Z1 - Y1) % p
     if not H:
-        return None if r else _jdouble(J, p, a)
+        return None if r else _jdouble(J, p)
     HH = H * H % p
     HHH = H * HH % p
     V = X1 * HH % p
@@ -407,9 +400,7 @@ class Point(_Frozen):
         self._same_curve(other)
         p = mpz(self.curve.p)
         J = None if self.is_infinity else (*self._xy(), 1)
-        return Point._wrap(
-            self.curve, _to_affine([_jadd(J, other._xy(), p, self.curve.a)], p)[0]
-        )
+        return Point._wrap(self.curve, _to_affine([_jadd(J, other._xy(), p)], p)[0])
 
     def __neg__(self) -> "Point":
         if self.is_infinity:
@@ -551,13 +542,13 @@ _FOLDS = 8
 _SHARE = 5
 
 
-def _odd_multiples(Js, tables, sizes, p, a):
+def _odd_multiples(Js, tables, sizes, p):
     # Extends each affine table of odd multiples [P, 3P, ...] of the
     # Jacobian P in Js, which may still be empty, to its size in sizes, and
     # returns the new entries of each; two batch inversions in all.  New
     # entries follow the last one by 2P each.  P and any entry can be
     # infinity on the tiny curves.
-    twos = _to_affine([_jdouble(J, p, a) for J in Js], p)
+    twos = _to_affine([_jdouble(J, p) for J in Js], p)
     flat = []
     for J, table, size, D in zip(Js, tables, sizes, twos):
         if table:
@@ -565,7 +556,7 @@ def _odd_multiples(Js, tables, sizes, p, a):
         else:
             flat.append(J)
         for _ in range(size - max(len(table), 1)):
-            J = _jadd(J, D, p, a)
+            J = _jadd(J, D, p)
             flat.append(J)
     flat = _to_affine(flat, p)
     out, i = [], 0
@@ -604,6 +595,8 @@ def _glv_split(k, glv, n):
 # (curve.key, x, y) -> [table of 2^(F*i)*P for i = 0, 1, ...], least
 # recently used first; every table of a base has the same width.
 _CACHE: dict[tuple, list] = {}
+# The _CACHE keys of every curve's g: eviction passes them over.
+_PINNED: set[tuple] = set()
 # A 64-member ring at width 5 (8 levels of 8 points each), the g, h and
 # tau of its verify at width 7 (8 levels of 32), and the h and tau of one
 # more message: 5376 points, the room of 21 bases at width 7.
@@ -631,7 +624,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     The folds, widths and cache change which additions are made where,
     never the result.
     """
-    p, a, n = mpz(curve.p), curve.a, curve.n
+    p, n = mpz(curve.p), curve.n
     glv = _GLV.get(curve)
     bases: dict[tuple, int] = {(curve.gx, curve.gy): 0}  # (x, y) -> index
     halves = []  # per job, (base, endomorphism?, negative?, |scalar half|)
@@ -700,12 +693,12 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         for i in range(have, need[b]):
             if i:
                 for _ in range(F):
-                    J = _jdouble(J, p, a)
+                    J = _jdouble(J, p)
             lv.append([])
             todo.append((J, lv[-1], size))
     if todo:
         Js, tables, sizes = zip(*todo)
-        for table, new in zip(tables, _odd_multiples(Js, tables, sizes, p, a)):
+        for table, new in zip(tables, _odd_multiples(Js, tables, sizes, p)):
             if glv:  # (x, y, beta*x): the endomorphism image is (beta*x, y)
                 new = [None if Q is None else (*Q, glv[0] * Q[0] % p)
                        for Q in new]
@@ -714,8 +707,9 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         if lv:
             _CACHE[(key, *xy)] = lv
     if todo:  # the least recently used, other than any curve's g
+        _PINNED.add((key, curve.gx, curve.gy))
         held = sum(len(lv) * len(lv[0]) for lv in _CACHE.values())
-        for k in [k for k in _CACHE if k[1:] != k[0][3:5]]:
+        for k in [k for k in _CACHE if k not in _PINNED]:
             if held <= _CACHE_POINTS:
                 break
             lv = _CACHE.pop(k)
@@ -745,11 +739,11 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         at = adds[0][0] if adds else 0
         for pos, Q in adds:
             for _ in range(at - pos):
-                J = _jdouble(J, p, a)
+                J = _jdouble(J, p)
             at = pos
-            J = _jadd(J, Q, p, a)
+            J = _jadd(J, Q, p)
         for _ in range(at):
-            J = _jdouble(J, p, a)
+            J = _jdouble(J, p)
         out.append(J)
     return [Point._wrap(curve, xy) for xy in _to_affine(out, p)]
 
@@ -770,7 +764,6 @@ def dual_scalar_mul_batch(pairs) -> list[Point]:
 SECP256K1 = CurveParams(
     curve_id="secp256k1",
     p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
-    a=0,
     b=7,
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
@@ -781,15 +774,11 @@ SECP256K1 = CurveParams(
 # secp256k1's congruence class, so the deterministic hash-to-curve map runs
 # unchanged.  p != n here, which is what makes the wrong-modulus regression
 # tests bite.
-TEST_CURVE_31 = CurveParams(
-    curve_id="test-31", p=31, a=0, b=7, gx=1, gy=16, n=21,
-)
+TEST_CURVE_31 = CurveParams(curve_id="test-31", p=31, b=7, gx=1, gy=16, n=21)
 
 # y^2 = x^3 + 7 over F_11: 12 points, cyclic, small enough to enumerate the
 # whole addition table in tests.
-TEST_CURVE_11 = CurveParams(
-    curve_id="test-11", p=11, a=0, b=7, gx=4, gy=4, n=12,
-)
+TEST_CURVE_11 = CurveParams(curve_id="test-11", p=11, b=7, gx=4, gy=4, n=12)
 
 CURVES = {
     c.curve_id: c for c in (SECP256K1, TEST_CURVE_31, TEST_CURVE_11)

@@ -9,7 +9,7 @@
   reason that is tolerable.
 * ``FT_DETERMINISTIC``: ``ft_map``, the Fouque-Tibouchi encoding, on
   ``hash_to_field``.  Fully deterministic with a fixed operation count,
-  defined for a = 0 curves whose prime is 7 mod 12 (secp256k1 qualifies).
+  defined when the prime is 7 mod 12 (secp256k1 qualifies).
 * ``INSECURE_MULT_G``: the generator times ``insecure_hash_exponent``, a
   public hash.  The discrete log of the output is public, which guts the
   privacy of any tag built from it.  Kept only so the attack demos can
@@ -114,8 +114,6 @@ def ft_constants(curve: CurveParams) -> tuple[int, int]:
     (-1 + sqrt(-3)) / 2.  Both exist exactly when p = 1 mod 3 with
     p = 3 mod 4, i.e. p = 7 mod 12.
     """
-    if curve.a != 0:
-        raise UnsupportedCurveError("map requires a curve of form y^2 = x^3 + b")
     if curve.p % 12 != 7:
         raise UnsupportedCurveError(
             f"map requires p = 7 mod 12, got p = {curve.p % 12} mod 12"

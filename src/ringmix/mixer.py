@@ -455,11 +455,15 @@ def _mixer_from_doc(doc) -> Mixer:
     curve = CURVES.get(params["curve"])
     if curve is None:
         raise MixerError(f"unknown curve {params['curve']!r} in state file")
+    override = params.get("insecure_override", False)
+    if type(override) is not bool:  # "false" would turn the override on
+        raise MixerError(
+            f"insecure_override is {type(override).__name__}, not a boolean")
     pp = setup(
-        params["security_bits"],
+        _int(params["security_bits"], "security_bits"),
         curve,
         HashVariant(params["hash"]),
-        insecure_override=params.get("insecure_override", False),
+        insecure_override=override,
     )
     mixer = Mixer(pp)
     mixer._next_seq = _int(doc["next_pool_seq"], "next_pool_seq")

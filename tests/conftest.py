@@ -64,7 +64,7 @@ def brute_force_points(curve):
     pts = []
     for x in range(curve.p):
         for y in range(curve.p):
-            if (y * y - (x ** 3 + curve.a * x + curve.b)) % curve.p == 0:
+            if (y * y - (x ** 3 + curve.b)) % curve.p == 0:
                 pts.append((x, y))
     return pts
 

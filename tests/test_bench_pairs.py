@@ -88,3 +88,14 @@ def test_failed_share_per_side_flags_a_higher_change():
         "change_higher": True}
     assert shares["even"]["change"]["share"] == 0.0
     assert shares["even"]["change_higher"] is False
+
+
+def test_src_lines_counts_the_package_sources_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "ringmix"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\n")
+    (package / "b.py").write_text("three\nno newline at the end")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 3
+    assert bench_pairs.src_lines(str(tmp_path / "empty")) == 0

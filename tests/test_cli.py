@@ -1,6 +1,7 @@
 """End-to-end command-line scenarios driven through subprocesses."""
 
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -433,6 +434,15 @@ LEDGER_EDITS = {
         lambda d: d["pools"]["mix-0001"]["deposits"][0].update({"from": 7}),
         ("fund", "--account", "acct-2", "--amount", "1"),
         "error: st.json: mix-0001: an account or tag is not a string\n"),
+    "insecure-override-str": (
+        lambda d: d["params"].update(hash="insecure-mult-g",
+                                     insecure_override="false"),
+        ("status", "--mix", "mix-0001"),
+        "error: st.json: insecure_override is str, not a boolean\n"),
+    "security-bits-str": (
+        lambda d: d["params"].update(security_bits="x"),
+        ("create", "--denomination", "1", "--capacity", "2"),
+        "error: st.json: security_bits is str, not an integer\n"),
 }
 
 
@@ -622,6 +632,21 @@ def test_directory_as_state_file_leaves_no_lock_file(workdir):
         assert res.stderr == f"error: {state}: Is a directory\n"
     assert sorted(p.name for p in workdir.iterdir()) == ["ledger"]
     assert not list((workdir / "ledger").iterdir())
+
+
+def test_a_symlinked_state_file_takes_its_targets_lock(workdir, capsys):
+    # save_state replaces the link's target, so a command through either
+    # name must lock the same file.
+    real, alias = workdir / "real.json", workdir / "alias.json"
+    alias.symlink_to(real.name)
+    with cli._state_lock(str(alias)):
+        with open(f"{real}.lock", "w") as fh, pytest.raises(BlockingIOError):
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    assert cli.main(["--curve", "test-31", "--state", str(alias), "mix",
+                     "create", "--denomination", "1", "--capacity", "2"]) == 0
+    assert capsys.readouterr().out == "mix-0001\n"
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "alias.json", "real.json", "real.json.lock"]
 
 
 def test_os_error_without_a_file_name(workdir, monkeypatch, capsys):

@@ -364,19 +364,33 @@ def test_builtin_curves_validate(monkeypatch):
     assert len(curve_module._VALIDATED) == 3
 
 
+def test_curve_parameters_are_immutable():
+    assert CurveParams.__slots__ == ("curve_id", "p", "b", "gx", "gy", "n")
+    for name in CurveParams.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(SECP256K1, name, 1)
+    assert SECP256K1.key == (SECP256K1.p, 7, SECP256K1.gx, SECP256K1.gy,
+                             SECP256K1.n)
+
+
 def test_brute_force_group_orders():
     assert len(brute_force_points(TEST_CURVE_11)) + 1 == TEST_CURVE_11.n == 12
     assert len(brute_force_points(TEST_CURVE_31)) + 1 == TEST_CURVE_31.n == 21
 
 
 def test_singular_curve_rejected():
-    bad = CurveParams(curve_id="bad", p=11, a=0, b=0, gx=0, gy=0, n=11)
+    bad = CurveParams(curve_id="bad", p=11, b=0, gx=0, gy=0, n=11)
     with pytest.raises(CurveError):
         bad.validate()
+    # In characteristic 3, y^2 = x^3 + 1 = (x + 1)^3 has a cusp at (2, 0),
+    # though b != 0; 3 = 3 mod 4, so only the singularity check refuses it.
+    cusp = CurveParams(curve_id="cusp", p=3, b=1, gx=0, gy=1, n=3)
+    with pytest.raises(CurveError, match="singular curve"):
+        cusp.validate()
 
 
 def test_wrong_generator_order_rejected():
-    bad = CurveParams(curve_id="bad-n", p=11, a=0, b=7, gx=4, gy=4, n=7)
+    bad = CurveParams(curve_id="bad-n", p=11, b=7, gx=4, gy=4, n=7)
     with pytest.raises(CurveError):
         bad.validate()
 
@@ -385,11 +399,11 @@ def test_n_below_the_group_order_rejected():
     # y^2 = x^3 + 1 over F_11 has 12 points, cyclic; T has order 12 and
     # g = 2T order 6.  n = 6 passes n*g == 0, but reducing scalars mod 6
     # would give 7*T == T + 6T as T, not (9, 2).
-    c = CurveParams(curve_id="e11", p=11, a=0, b=1, gx=7, gy=5, n=12)
+    c = CurveParams(curve_id="e11", p=11, b=1, gx=7, gy=5, n=12)
     c.validate()
     T = c.g
     assert 7 * T == Point(c, 9, 2)
-    bad = CurveParams(curve_id="e11-g2T", p=11, a=0, b=1, gx=2, gy=8, n=6)
+    bad = CurveParams(curve_id="e11-g2T", p=11, b=1, gx=2, gy=8, n=6)
     assert (6 * Point(bad, 2, 8)).is_infinity
     with pytest.raises(CurveError, match="the group has 12 points, not n"):
         bad.validate()
@@ -397,7 +411,7 @@ def test_n_below_the_group_order_rejected():
 
 def test_n_a_multiple_of_the_order_of_g_rejected():
     # n = 12 kills every point of that group, but g = 2T has order 6
-    bad = CurveParams(curve_id="e11-g2T", p=11, a=0, b=1, gx=2, gy=8, n=12)
+    bad = CurveParams(curve_id="e11-g2T", p=11, b=1, gx=2, gy=8, n=12)
     with pytest.raises(CurveError, match="g has order below n"):
         bad.validate()
     # on a large p: n*g == 0 with n = 2 * the prime order of g
@@ -406,7 +420,7 @@ def test_n_a_multiple_of_the_order_of_g_rejected():
 
 
 def test_composite_p_rejected():
-    bad = CurveParams(curve_id="bad-p", p=15, a=0, b=7, gx=1, gy=0, n=4)
+    bad = CurveParams(curve_id="bad-p", p=15, b=7, gx=1, gy=0, n=4)
     with pytest.raises(CurveError):
         bad.validate()
 
@@ -415,7 +429,7 @@ def test_p_1_mod_4_rejected():
     # y^2 = x^3 + 2 over F_13 is a cyclic group of prime order 19 generated
     # by (1, 4), but 13 = 1 mod 4: no square root here could decode a point
     # or hash to one, so the set is refused before anything uses it.
-    bad = CurveParams(curve_id="f13", p=13, a=0, b=2, gx=1, gy=4, n=19)
+    bad = CurveParams(curve_id="f13", p=13, b=2, gx=1, gy=4, n=19)
     assert len(brute_force_points(bad)) + 1 == 19
     with pytest.raises(CurveError, match="p = 3 mod 4 required"):
         bad.validate()
@@ -435,9 +449,8 @@ def _count_prime_tests(monkeypatch):
 
 
 def _secp_copy(**changes):
-    fields = dict(curve_id="secp256k1", p=SECP256K1.p, a=SECP256K1.a,
-                  b=SECP256K1.b, gx=SECP256K1.gx, gy=SECP256K1.gy,
-                  n=SECP256K1.n)
+    fields = dict(curve_id="secp256k1", p=SECP256K1.p, b=SECP256K1.b,
+                  gx=SECP256K1.gx, gy=SECP256K1.gy, n=SECP256K1.n)
     fields.update(changes)
     return CurveParams(**fields)
 
@@ -460,10 +473,13 @@ def test_bad_parameters_are_checked_on_every_call(monkeypatch):
         with pytest.raises(CurveError, match="n\\*g"):
             bad.validate()
         assert len(calls) == attempt
-    # a validated object changed afterwards is checked again in full
+    # a validated object cannot change afterwards, and a changed copy is
+    # checked again in full
     good = _secp_copy()
     good.validate()
-    good.p = SECP256K1.p + 2
+    with pytest.raises(AttributeError):
+        good.p = SECP256K1.p + 2
+    assert good == SECP256K1
     with pytest.raises(CurveError):
-        good.validate()
+        _secp_copy(p=SECP256K1.p + 2).validate()
     assert len(calls) == 4

@@ -18,7 +18,7 @@ import ringmix
 from ringmix import curve
 print(",".join(m for m in ("dataclasses", "inspect", "json") if m in sys.modules))
 print(len(curve._CACHE))
-print(curve._VALIDATED == {(c.p, c.a, c.b, c.gx, c.gy, c.n)
+print(curve._VALIDATED == {(c.p, c.b, c.gx, c.gy, c.n)
                            for c in curve.CURVES.values()})
 """
 

@@ -289,6 +289,24 @@ def test_pool_never_overdrawn(pp31):
     mixer.check_conservation(mix_id)
 
 
+@pytest.mark.parametrize("break_pool, error", [
+    (lambda pool: setattr(pool, "balance", -1), "negative balance -1"),
+    (lambda pool: setattr(pool, "balance", pool.balance + 1),
+     "conservation broken, in=4 out=1 balance=4"),
+    (lambda pool: pool.seen_tags.add(b"\x00"), "payout/tag count mismatch"),
+])
+def test_conservation_check_names_the_broken_pool(pp31, break_pool, error):
+    mixer = Mixer(pp31)
+    rng = random.Random(0)
+    mix_id, keys = fill_pool(pp31, mixer, rng)
+    assert withdraw_as(pp31, mixer, mix_id, keys[0], "pay", rng) is (
+        WithdrawStatus.ACCEPTED)
+    mixer.check_conservation(mix_id)
+    break_pool(mixer.pools[mix_id])
+    with pytest.raises(MixerError, match=f"^{mix_id}: {re.escape(error)}$"):
+        mixer.check_conservation(mix_id)
+
+
 # ---------------------------------------------------------------------------
 # close / refund
 
@@ -485,6 +503,18 @@ JSON_DOCS = st.recursive(
 )
 
 
+def test_state_writer_flushes_in_chunks(tmp_path, monkeypatch):
+    # Only a ledger of hundreds of pools reaches the real chunk size.
+    monkeypatch.setattr(mixer_module, "_FLUSH_EVERY", 7)
+    writes = []
+    mixer_module._write_json(mixer_module._state_doc(EDGE_LEDGER),
+                             SimpleNamespace(write=writes.append))
+    assert len(writes) > 3
+    path = tmp_path / "state.json"
+    save_state(EDGE_LEDGER, str(path))
+    assert path.read_bytes() == _old_bytes(EDGE_LEDGER)
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=JSON_DOCS)
 def test_state_writer_matches_json_dump_on_any_document(doc):
@@ -602,6 +632,15 @@ BAD_DOCUMENTS = {
         doc, lambda d: _pool(d).update(payouts=[{"address": 7, "tag": "00"}])),
     "payout-tag-int": lambda doc: _with(
         doc, lambda d: _pool(d).update(payouts=[{"address": "a", "tag": 7}])),
+    "security-bits-str": lambda doc: _with(
+        doc, lambda d: d["params"].update(security_bits="x")),
+    "security-bits-bool": lambda doc: _with(
+        doc, lambda d: d["params"].update(security_bits=True)),
+    "insecure-override-str": lambda doc: _with(
+        doc, lambda d: d["params"].update(hash="insecure-mult-g",
+                                          insecure_override="false")),
+    "insecure-override-int": lambda doc: _with(
+        doc, lambda d: d["params"].update(insecure_override=0)),
 }
 
 

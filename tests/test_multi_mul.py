@@ -45,7 +45,7 @@ def affine_add(curve, A, B):
     if x1 == x2 and (y1 + y2) % p == 0:
         return None
     if x1 == x2:
-        slope = (3 * x1 * x1 + curve.a) * pow(2 * y1, -1, p)
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, p)
     else:
         slope = (y2 - y1) * pow(x2 - x1, -1, p)
     x3 = (slope * slope - x1 - x2) % p
@@ -235,14 +235,14 @@ def _cube_root_of_unity(m):
 def derive_glv(curve):
     """(beta, lam, a1, b1, a2, b2) for the endomorphism (x, y) -> (beta*x, y).
 
-    It exists when a = 0, p = 1 mod 3 and n is a prime = 1 mod 3; it then
+    It exists when p = 1 mod 3 and n is a prime = 1 mod 3; it then
     acts on the group as multiplication by lam, a cube root of unity mod n,
     matched to beta by lam*g == (beta*gx, gy) on the oracle.  (a1, b1) and
     (a2, b2) are short vectors of the lattice {(x, y): x + y*lam = 0 mod n},
     found by extended Euclid on (n, lam) (Guide to ECC, Algorithm 3.74).
     """
     p, n = curve.p, curve.n
-    if curve.a or p % 3 != 1 or n % 3 != 1 or not _is_probable_prime(n):
+    if p % 3 != 1 or n % 3 != 1 or not _is_probable_prime(n):
         return None
     beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(n)
     lg = oracle_mul(lam, curve.g)
@@ -377,9 +377,9 @@ def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
     built = []
     odd_multiples = curve_module._odd_multiples
 
-    def counting(Js, tables, sizes, p, a):
+    def counting(Js, tables, sizes, p):
         built.append(len(Js))
-        return odd_multiples(Js, tables, sizes, p, a)
+        return odd_multiples(Js, tables, sizes, p)
 
     monkeypatch.setattr(curve_module, "_odd_multiples", counting)
     n = 8
@@ -534,10 +534,10 @@ def test_narrow_shapes_build_what_they_built(monkeypatch, cold_cache):
     sizes = []
     odd_multiples = curve_module._odd_multiples
 
-    def recording(Js, tables, sizes_, p, a):
+    def recording(Js, tables, sizes_, p):
         assert not any(tables)  # nothing widens
         sizes.extend(sizes_)
-        return odd_multiples(Js, tables, sizes_, p, a)
+        return odd_multiples(Js, tables, sizes_, p)
 
     monkeypatch.setattr(curve_module, "_odd_multiples", recording)
     c = SECP256K1
@@ -560,7 +560,7 @@ def test_parameter_sets_sharing_g_keep_their_own_levels(cold_cache):
     # F = 38 instead of 17, so reading secp256k1's levels of g or of P
     # would give wrong points.  k < n, so the other n reduces nothing.
     c = SECP256K1
-    other = CurveParams("other-n", c.p, c.a, c.b, c.gx, c.gy, 2**300 + 1)
+    other = CurveParams("other-n", c.p, c.b, c.gx, c.gy, 2**300 + 1)
     rng = random.Random(19)
     P = rng.randrange(c.n) * c.g
     for _ in range(2):  # P's second call folds it: all its levels

@@ -410,9 +410,9 @@ def test_sign_tables_each_base_once(pp_secp, size, monkeypatch, cold_cache):
     tabled = []
     odd_multiples = curve_module._odd_multiples
 
-    def counting(Js, tables, sizes, p, a):
+    def counting(Js, tables, sizes, p):
         tabled.extend((J[0], J[1]) for J in Js if J is not None and J[2] == 1)
-        return odd_multiples(Js, tables, sizes, p, a)
+        return odd_multiples(Js, tables, sizes, p)
 
     monkeypatch.setattr(curve_module, "_odd_multiples", counting)
     sig = ring_sign(pp_secp, keys[0].sk, ring, b"once", rng)
