@@ -13,7 +13,9 @@ change was better, and whether that makes a gain or a regression beyond
 the metric's bound (see ``summarize``); and per workload and side the share
 of operations that failed, flagged where the change's is the higher (see
 ``failure_shares``); and the line count of ``src/ringmix/*.py`` on each
-side (see ``src_lines``).
+side (see ``src_lines``).  After the pairs, one traced run per side and
+workload on a seed outside them gives the per-layer spans (see
+``trace_pair``).
 
     python3 scripts/bench_pairs.py --parent HEAD --out BENCH_N.json
 
@@ -38,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10  # a claimed gain must win at least nine pairs in ten
+TRACE_SEED = PAIRS + 1  # the traced runs use a seed none of the pairs used
 
 
 def git(*args: str) -> bytes:
@@ -53,9 +56,11 @@ def export(rev: str, dest: str) -> None:
             tar.extractall(dest)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace",
+           str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                            text=True)
@@ -69,6 +74,38 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         result = {"correct": False, "error": child.stderr.strip()[-2000:]}
     return {"environment": environment, "result": result,
             "exit": child.returncode}
+
+
+def trace_pair(trees: dict[str, str], workloads: list[str], seconds: float,
+               run=run_once) -> dict:
+    """One ``--trace 1`` run per workload and side, parent first, on
+    TRACE_SEED: each side's environment and result per workload, keyed as
+    ``{workload: {"parent": run, "change": run}}`` beside ``what`` and
+    ``command``.  ``run`` is called as ``run_once`` is."""
+    doc = {
+        "what": "one traced run per workload and side, parent first, on a "
+                "seed that is not one of the pairs: per-layer spans",
+        "command": f"PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py "
+                   f"--workload W --seed {TRACE_SEED} --seconds {seconds:g} "
+                   "--trace 1",
+    }
+    for workload in workloads:
+        doc[workload] = {}
+        for side in ("parent", "change"):
+            rec = run(trees[side], workload, TRACE_SEED, seconds, trace=1)
+            doc[workload][side] = rec
+            print(f"trace {workload} seed {TRACE_SEED} {side}: "
+                  f"correct={rec['result'].get('correct')}", flush=True)
+    return doc
+
+
+def not_correct(runs: list[dict], traced: dict, workloads: list[str]) -> list:
+    """The paired runs (by ``seq``) and the traced runs (by workload and
+    side) whose result is not correct."""
+    return ([r["seq"] for r in runs if not r["result"].get("correct")]
+            + [f"trace {w} {side}" for w in workloads
+               for side, rec in traced[w].items()
+               if not rec["result"].get("correct")])
 
 
 def src_lines(tree: str) -> int:
@@ -164,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     parent_commit = git("rev-parse", args.parent).decode().strip()
     parent_tree = tempfile.mkdtemp(prefix="bench-parent-", dir=args.workdir)
+    workloads = [w["name"] for w in spec["workloads"]]
     runs: list[dict] = []
     try:
         export(parent_commit, parent_tree)
@@ -171,13 +209,14 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": parent_tree, "change": ROOT}
         for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for workload in (w["name"] for w in spec["workloads"]):
+            for workload in workloads:
                 for side in order:
                     rec = run_once(trees[side], workload, seed, seconds)
                     runs.append({"seq": len(runs) + 1, "side": side,
                                  "workload": workload, "seed": seed, **rec})
                     print(f"{len(runs):3d} {workload} seed {seed} {side}: "
                           f"correct={rec['result'].get('correct')}", flush=True)
+        traced = trace_pair(trees, workloads, seconds)
     finally:
         shutil.rmtree(parent_tree, ignore_errors=True)
 
@@ -195,11 +234,12 @@ def main(argv: list[str] | None = None) -> int:
         "failures": failure_shares(runs),
         "src_lines": lines,
         "runs": runs,
+        "trace_pair": traced,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    failed = [r["seq"] for r in runs if not r["result"].get("correct")]
+    failed = not_correct(runs, traced, workloads)
     if failed:
         print(f"runs not correct: {failed}", file=sys.stderr)
     higher = [w for w, sides in doc["failures"].items() if sides["change_higher"]]

@@ -99,3 +99,46 @@ def test_src_lines_counts_the_package_sources_as_wc_does(tmp_path):
     (tmp_path / "src" / "other.py").write_text("not counted\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 3
     assert bench_pairs.src_lines(str(tmp_path / "empty")) == 0
+
+
+def fake_runner(incorrect=()):
+    """A stand-in for ``run_once`` that records its calls; the runs named
+    in ``incorrect`` (as (workload, tree)) come back not correct."""
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, workload, seed, seconds, trace))
+        correct = (workload, tree) not in incorrect
+        return {"environment": {"workload": workload, "seed": seed,
+                                "trace": trace},
+                "result": {"correct": correct}, "exit": 0 if correct else 1}
+    return run, calls
+
+
+def test_trace_pair_runs_each_workload_traced_parent_first():
+    run, calls = fake_runner()
+    trees = {"parent": "/p", "change": "/c"}
+    doc = bench_pairs.trace_pair(trees, ["w1", "w2"], 35, run=run)
+    seed = bench_pairs.TRACE_SEED
+    assert seed not in range(1, bench_pairs.PAIRS + 1)
+    assert calls == [("/p", "w1", seed, 35, 1), ("/c", "w1", seed, 35, 1),
+                     ("/p", "w2", seed, 35, 1), ("/c", "w2", seed, 35, 1)]
+    assert list(doc) == ["what", "command", "w1", "w2"]
+    assert f"--seed {seed} --seconds 35 --trace 1" in doc["command"]
+    for workload in ("w1", "w2"):
+        assert list(doc[workload]) == ["parent", "change"]
+        for side in ("parent", "change"):
+            assert doc[workload][side]["environment"] == {
+                "workload": workload, "seed": seed, "trace": 1}
+            assert doc[workload][side]["result"] == {"correct": True}
+
+
+def test_a_traced_run_that_is_not_correct_is_reported():
+    run, _ = fake_runner(incorrect={("w2", "/c")})
+    doc = bench_pairs.trace_pair({"parent": "/p", "change": "/c"},
+                                 ["w1", "w2"], 1, run=run)
+    paired = [{"seq": 1, "result": {"correct": True}},
+              {"seq": 2, "result": {"correct": False, "error": "crashed"}}]
+    assert bench_pairs.not_correct(paired, doc, ["w1", "w2"]) == [
+        2, "trace w2 change"]
+    assert bench_pairs.not_correct(paired[:1], doc, ["w1"]) == []

@@ -443,6 +443,31 @@ LEDGER_EDITS = {
         lambda d: d["params"].update(security_bits="x"),
         ("create", "--denomination", "1", "--capacity", "2"),
         "error: st.json: security_bits is str, not an integer\n"),
+    # A stale sequence number made create replace the funded pool.
+    "next-pool-seq-stale": (
+        lambda d: d.update(next_pool_seq=1),
+        ("create", "--denomination", "5", "--capacity", "2"),
+        "error: st.json: next_pool_seq 1 would reuse mix-0001\n"),
+    "pool-balance-raised": (
+        lambda d: d["pools"]["mix-0001"].update(balance=5),
+        ("status", "--mix", "mix-0001"),
+        "error: st.json: mix-0001: conservation broken, in=4 out=0 "
+        "balance=5\n"),
+    "published-short-one": (
+        lambda d: (d["pools"]["mix-0001"]["deposits"].pop(),
+                   d["pools"]["mix-0001"].update(balance=3)),
+        ("ring", "--mix", "mix-0001"),
+        "error: st.json: mix-0001: 3 deposits in a ring-published pool of "
+        "capacity 4\n"),
+    "filling-at-capacity": (
+        lambda d: d["pools"]["mix-0001"].update(phase="filling"),
+        ("fund", "--account", "acct-2", "--amount", "1"),
+        "error: st.json: mix-0001: 4 deposits in a filling pool of "
+        "capacity 4\n"),
+    "account-negative": (
+        lambda d: d["accounts"].update({"acct-2": -3}),
+        ("fund", "--account", "acct-2", "--amount", "5"),
+        "error: st.json: account 'acct-2' is -3, below 0\n"),
 }
 
 
@@ -453,9 +478,11 @@ def test_hand_edited_ledger_is_state_error(workdir, name):
     doc = json.loads(path.read_text())
     change(doc)
     path.write_text(json.dumps(doc))
+    edited = path.read_bytes()
     res = run_cli("--curve", "test-31", "--state", "st.json", "mix", *args,
                   cwd=workdir)
     assert (res.returncode, res.stdout, res.stderr) == (3, "", error)
+    assert path.read_bytes() == edited
 
 
 # sha256 of the state file the seeded lifecycle below leaves, as written by

@@ -27,6 +27,8 @@ from ringmix import (
     MixerError,
     Phase,
     PhaseError,
+    SECP256K1,
+    TEST_CURVE_11,
     TEST_CURVE_31,
     UnknownAccountError,
     UnknownPoolError,
@@ -77,6 +79,18 @@ def test_create_validates_parameters(pp31):
 def test_create_assigns_distinct_ids(pp31):
     mixer = Mixer(pp31)
     assert mixer.mix_create(1, 2) != mixer.mix_create(1, 2)
+
+
+def test_create_refuses_an_id_in_use(pp31):
+    mixer = Mixer(pp31)
+    mix_id, _ = fill_pool(pp31, mixer, random.Random(0))
+    funded = mixer_module.MixPool(**{n: getattr(mixer.pools[mix_id], n)
+                                    for n in mixer_module.MixPool._PERSISTED})
+    mixer._next_seq = 1  # rewound, as a stale ledger would have it
+    with pytest.raises(MixerError, match=f"^{mix_id} already exists$"):
+        mixer.mix_create(5, 2)
+    assert mixer.pools == {mix_id: funded}
+    assert mixer._next_seq == 1
 
 
 def test_pool_fills_and_publishes_ring(pp31):
@@ -433,10 +447,43 @@ def test_state_file_is_versioned_json(pp31, tmp_path):
         load_state(str(path))
 
 
+def state_doc(mixer):
+    """The state document, as the library built it before the writer
+    learned the document's shape: the spec the state file is held to."""
+    return {
+        "version": mixer_module.STATE_VERSION,
+        "params": {
+            "curve": mixer.pp.curve.curve_id,
+            "hash": mixer.pp.h_variant.value,
+            "security_bits": mixer.pp.security_bits,
+            "insecure_override": mixer.pp.insecure_override,
+        },
+        "next_pool_seq": mixer._next_seq,
+        "accounts": dict(sorted(mixer.accounts.items())),
+        "pools": {
+            mix_id: {
+                "denomination": pool.denomination,
+                "capacity": pool.capacity,
+                "phase": pool.phase.value,
+                "deposits": [
+                    {"pk": pk, "from": funder} for pk, funder in pool.deposits
+                ],
+                "seen_tags": sorted(tag.hex() for tag in pool.seen_tags),
+                "payouts": [
+                    {"address": addr, "tag": tag} for addr, tag in pool.payouts
+                ],
+                "refunds": list(pool.refunds),
+                "balance": pool.balance,
+            }
+            for mix_id, pool in sorted(mixer.pools.items())
+        },
+    }
+
+
 def _old_bytes(mixer):
     """The state file as json.dump(indent=2, sort_keys=True) wrote it."""
-    doc = mixer_module._state_doc(mixer)
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(state_doc(mixer), indent=2, sort_keys=True)
+            + "\n").encode()
 
 
 NAMES = st.one_of(
@@ -446,12 +493,27 @@ NAMES = st.one_of(
 HEX = st.binary(min_size=1, max_size=33).map(bytes.hex)
 
 
+# Every parameter set a ledger can hold: the FT map has no constants for
+# test-11, and the generator-multiple hash needs the override.
+PARAMS = st.one_of(
+    st.tuples(st.sampled_from([SECP256K1, TEST_CURVE_31]),
+              st.just(HashVariant.FT_DETERMINISTIC), st.booleans()),
+    st.tuples(st.sampled_from([SECP256K1, TEST_CURVE_31, TEST_CURVE_11]),
+              st.just(HashVariant.TRY_INCREMENT), st.booleans()),
+    st.tuples(st.sampled_from([SECP256K1, TEST_CURVE_31, TEST_CURVE_11]),
+              st.just(HashVariant.INSECURE_MULT_G), st.just(True)),
+)
+
+
 @st.composite
 def ledgers(draw):
-    mixer = Mixer(setup(8, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC))
-    mixer.accounts = draw(st.dictionaries(NAMES, st.integers(0, 10**30),
+    curve, variant, override = draw(PARAMS)
+    mixer = Mixer(setup(draw(st.integers(1, 2**70)), curve, variant,
+                        insecure_override=override))
+    mixer.accounts = draw(st.dictionaries(NAMES, st.integers(-5, 10**30),
                                           max_size=6))
-    for _ in range(draw(st.integers(0, 3))):
+    mixer._next_seq = draw(st.sampled_from([1, 9998, 10**6]))
+    for _ in range(draw(st.integers(0, 6))):
         mix_id = mixer.mix_create(draw(st.integers(1, 10**6)),
                                   draw(st.integers(2, 8)))
         pool = mixer.pools[mix_id]
@@ -482,7 +544,7 @@ def _edge_ledgers():
 EMPTY_LEDGER, EDGE_LEDGER = _edge_ledgers()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(mixer=ledgers())
 @example(mixer=EMPTY_LEDGER)
 @example(mixer=EDGE_LEDGER)
@@ -495,61 +557,100 @@ def test_state_writer_matches_json_dump(mixer, tmp_path_factory):
         assert pools[mix_id]["refunds"] == pool.refunds
 
 
-JSON_DOCS = st.recursive(
-    st.one_of(st.booleans(), st.integers(), NAMES),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(NAMES, inner, max_size=4)),
-    max_leaves=30,
-)
+def _several_pools():
+    """A ledger using every field: a published pool with one payout, a
+    closed pool with a refund, and an empty filling pool."""
+    pp = setup(128, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC)
+    rng = random.Random(0)
+    mixer = Mixer(pp)
+    mix_id, keys = fill_pool(pp, mixer, rng)
+    assert withdraw_as(pp, mixer, mix_id, keys[0], "pay-ü", rng) is (
+        WithdrawStatus.ACCEPTED)
+    closed = mixer.mix_create(2, 3)
+    mixer.fund("Zoë", 2)
+    mixer.mix_deposit(closed, keys[1].pk, "Zoë")
+    mixer.mix_close(closed)
+    mixer.mix_create(1, 2)
+    return mixer
 
 
-def test_state_writer_flushes_in_chunks(tmp_path, monkeypatch):
-    # Only a ledger of hundreds of pools reaches the real chunk size.
-    monkeypatch.setattr(mixer_module, "_FLUSH_EVERY", 7)
+SEVERAL_POOLS = _several_pools()
+
+
+def test_state_writer_writes_pool_by_pool(tmp_path):
     writes = []
-    mixer_module._write_json(mixer_module._state_doc(EDGE_LEDGER),
-                             SimpleNamespace(write=writes.append))
-    assert len(writes) > 3
+    mixer_module._write_state(SEVERAL_POOLS,
+                              SimpleNamespace(write=writes.append))
+    # The head, then one write per pool in id order, then the tail.
+    assert len(writes) == len(SEVERAL_POOLS.pools) + 2
+    assert [w.count('"denomination"') for w in writes] == [0, 1, 1, 1, 0]
+    for text, mix_id in zip(writes[1:], sorted(SEVERAL_POOLS.pools)):
+        assert f'"{mix_id}": {{' in text
+    assert "".join(writes).encode() == _old_bytes(SEVERAL_POOLS)
+    path = tmp_path / "state.json"
+    save_state(SEVERAL_POOLS, str(path))
+    assert path.read_bytes() == _old_bytes(SEVERAL_POOLS)
+
+
+def _spoiled(value):
+    """Copies of a small ledger with ``value`` in each place that must
+    hold an int (or, for the account name, a str)."""
+    pp = setup(8, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC)
+
+    def ledger():
+        mixer = Mixer(pp)
+        mixer.fund("alice", 3)
+        mixer.mix_create(1, 2)
+        return mixer, mixer.pools["mix-0001"]
+
+    for where in ("account name", "account balance", "next_pool_seq",
+                  "pool balance", "capacity", "denomination"):
+        mixer, pool = ledger()
+        if where == "account name":
+            mixer.accounts[value] = 1
+        elif where == "account balance":
+            mixer.accounts["alice"] = value
+        elif where == "next_pool_seq":
+            mixer._next_seq = value
+        else:
+            setattr(pool, where.replace("pool ", ""), value)
+        yield where, mixer
+
+
+@pytest.mark.parametrize("value", [1.5, None, True])
+def test_state_writer_refuses_other_types(tmp_path, value):
     path = tmp_path / "state.json"
     save_state(EDGE_LEDGER, str(path))
-    assert path.read_bytes() == _old_bytes(EDGE_LEDGER)
-
-
-@settings(max_examples=200, deadline=None)
-@given(doc=JSON_DOCS)
-def test_state_writer_matches_json_dump_on_any_document(doc):
-    out = []
-    mixer_module._write_json(doc, SimpleNamespace(write=out.append))
-    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("doc", [1.5, None, {"a": None}, {1: "x"}, (1, 2)])
-def test_state_writer_refuses_other_types(doc):
-    with pytest.raises(TypeError):
-        mixer_module._write_json(doc, SimpleNamespace(write=lambda text: None))
+    before = path.read_bytes()
+    for where, mixer in _spoiled(value):
+        with pytest.raises(TypeError):
+            save_state(mixer, str(path))
+        assert path.read_bytes() == before, where
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"], where
 
 
 def test_failed_save_keeps_old_file(pp31, tmp_path, monkeypatch):
     mixer = Mixer(pp31)
-    for i in range(mixer_module._FLUSH_EVERY):  # two pieces per account
-        mixer.fund(f"acct-{i:04d}", i)
+    for _ in range(3):
+        mixer.mix_create(1, 2)
     path = tmp_path / "state.json"
     save_state(mixer, str(path))
     before = path.read_bytes()
 
     mixer.fund("late", 1)
-    real = mixer_module._write_json
+    real = mixer_module._write_state
     flushed = []
 
-    def failing(doc, fh):
+    def failing(mixer, fh):
         def write(text):
             if flushed:
                 raise OSError("disk full")
             fh.write(text)
             fh.flush()
-            flushed.append(text)
-        real(doc, SimpleNamespace(write=write))
-    monkeypatch.setattr(mixer_module, "_write_json", failing)
+            if '"denomination"' in text:  # the first pool went out
+                flushed.append(text)
+        real(mixer, SimpleNamespace(write=write))
+    monkeypatch.setattr(mixer_module, "_write_state", failing)
     with pytest.raises(OSError, match="disk full"):
         save_state(mixer, str(path))
     assert len(flushed) == 1
@@ -574,9 +675,12 @@ def test_save_keeps_mode_and_symlink(pp31, tmp_path):
 
 
 def _valid_doc(pp31, rng):
+    """One published pool with one payout."""
     mixer = Mixer(pp31)
-    fill_pool(pp31, mixer, rng)
-    return mixer_module._state_doc(mixer)
+    mix_id, keys = fill_pool(pp31, mixer, rng)
+    assert withdraw_as(pp31, mixer, mix_id, keys[0], "pay", rng) is (
+        WithdrawStatus.ACCEPTED)
+    return state_doc(mixer)
 
 
 def _with(doc, change):
@@ -641,6 +745,47 @@ BAD_DOCUMENTS = {
                                           insecure_override="false")),
     "insecure-override-int": lambda doc: _with(
         doc, lambda d: d["params"].update(insecure_override=0)),
+    # Well-typed books that no lifecycle leaves.
+    "seen-tag-dropped": lambda doc: _with(
+        doc, lambda d: _pool(d).update(seen_tags=[])),
+    "seen-tag-swapped": lambda doc: _with(
+        doc, lambda d: _pool(d).update(seen_tags=["00"])),
+    "balance-raised": lambda doc: _with(
+        doc, lambda d: _pool(d).update(balance=_pool(d)["balance"] + 1)),
+    "published-short-one": lambda doc: _with(doc, lambda d: (
+        _pool(d)["deposits"].pop(),
+        _pool(d).update(balance=_pool(d)["balance"] - 1))),
+    "filling-at-capacity": lambda doc: _with(
+        doc, lambda d: _pool(d).update(phase="filling")),
+    "closed-at-capacity": lambda doc: _with(
+        doc, lambda d: _pool(d).update(phase="closed")),
+    "over-capacity": lambda doc: _with(
+        doc, lambda d: _pool(d).update(capacity=3)),
+    "account-negative": lambda doc: _with(
+        doc, lambda d: d["accounts"].update({"acct-1": -1})),
+    "denomination-zero": lambda doc: _with(
+        doc, lambda d: _pool(d).update(denomination=0, balance=0)),
+    "capacity-one": lambda doc: _with(
+        doc, lambda d: _pool(d).update(capacity=1)),
+    "next-pool-seq-stale": lambda doc: _with(
+        doc, lambda d: d.update(next_pool_seq=1)),
+}
+
+# The line each well-typed bad book gives, after the file name.
+BAD_BOOKS = {
+    "seen-tag-dropped": "mix-0001: payout/tag count mismatch",
+    "seen-tag-swapped": "mix-0001: seen tags differ from the payout tags",
+    "balance-raised": "mix-0001: conservation broken, in=4 out=1 balance=4",
+    "published-short-one":
+        "mix-0001: 3 deposits in a ring-published pool of capacity 4",
+    "filling-at-capacity": "mix-0001: 4 deposits in a filling pool of capacity 4",
+    "closed-at-capacity": "mix-0001: 4 deposits in a closed pool of capacity 4",
+    "over-capacity": "mix-0001: 4 deposits in a ring-published pool of "
+                     "capacity 3",
+    "account-negative": "account 'acct-1' is -1, below 0",
+    "denomination-zero": "mix-0001 denomination is 0, below 1",
+    "capacity-one": "mix-0001 capacity is 1, below 2",
+    "next-pool-seq-stale": "next_pool_seq 1 would reuse mix-0001",
 }
 
 
@@ -648,8 +793,16 @@ BAD_DOCUMENTS = {
 def test_load_state_reports_malformed_file(pp31, rng, tmp_path, name):
     path = tmp_path / "state.json"
     path.write_text(BAD_DOCUMENTS[name](_valid_doc(pp31, rng)))
-    with pytest.raises(MixerError, match=re.escape(str(path))):
+    line = f"{path}: {BAD_BOOKS[name]}" if name in BAD_BOOKS else str(path)
+    with pytest.raises(MixerError, match=f"^{re.escape(line)}"):
         load_state(str(path))
+
+
+def test_valid_doc_loads_with_its_books(pp31, rng, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_valid_doc(pp31, rng)))
+    loaded = load_state(str(path))
+    assert len(loaded.pools["mix-0001"].payouts) == 1
 
 
 def test_load_state_reports_unreadable_file(tmp_path):
@@ -661,27 +814,7 @@ def test_load_state_reports_unreadable_file(tmp_path):
         load_state(str(path))
 
 
-def _fuzz_ledger_text():
-    """A state file using every field: a published pool with one payout,
-    a closed pool with a refund, and an empty filling pool."""
-    pp = setup(128, TEST_CURVE_31, HashVariant.FT_DETERMINISTIC)
-    rng = random.Random(0)
-    mixer = Mixer(pp)
-    mix_id, keys = fill_pool(pp, mixer, rng)
-    assert withdraw_as(pp, mixer, mix_id, keys[0], "pay-ü", rng) is (
-        WithdrawStatus.ACCEPTED)
-    closed = mixer.mix_create(2, 3)
-    mixer.fund("Zoë", 2)
-    mixer.mix_deposit(closed, keys[1].pk, "Zoë")
-    mixer.mix_close(closed)
-    mixer.mix_create(1, 2)
-    out = []
-    mixer_module._write_json(mixer_module._state_doc(mixer),
-                             SimpleNamespace(write=out.append))
-    return "".join(out)
-
-
-FUZZ_LEDGER = _fuzz_ledger_text()
+FUZZ_LEDGER = _old_bytes(SEVERAL_POOLS).decode()
 JSON_VALUES = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(-2, 2**70),
