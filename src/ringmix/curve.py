@@ -337,7 +337,8 @@ def _jadd(J, Q, p):
 
 def _to_affine(Js, p):
     # Montgomery's trick: one field inversion plus 3(m-1) multiplications
-    # invert the m live Z coordinates together.
+    # invert the m live Z coordinates together.  Js is converted in place
+    # and returned, so a large batch never holds both forms of its points.
     live = [i for i, J in enumerate(Js) if J is not None]
     prefix = []
     acc = mpz(1)
@@ -345,14 +346,13 @@ def _to_affine(Js, p):
         prefix.append(acc)
         acc = acc * Js[i][2] % p
     inv = _invert(acc, p)
-    out = [None] * len(Js)
-    for i, pre in zip(reversed(live), reversed(prefix)):
+    for i in reversed(live):
         X, Y, Z = Js[i]
-        zi = pre * inv % p
+        zi = prefix.pop() * inv % p
         inv = inv * Z % p
         zz = zi * zi % p
-        out[i] = (X * zz % p, Y * zz * zi % p)
-    return out
+        Js[i] = (X * zz % p, Y * zz * zi % p)
+    return Js
 
 
 class Point(_Frozen):
@@ -492,34 +492,42 @@ class Point(_Frozen):
 # entries to each of its _FOLDS levels, whether they are built now or later,
 # as every level of a base has one width, and saves about
 # bits/((w+1)(w+2)) additions for the bits of its scalar halves in the call.
-# g, h = H(m || R) and tau reach width 6 in a ring verify or sign of 11 or
-# more members, width 7 from 29 and width 8 from 74.  A ring member has one
-# job per call and stays at width 5, as does g in a keygen; an unfolded
-# base always does.  A base never narrows: a table of width w is a prefix
-# of one of width w + 1, so widening appends to each table in place, from
-# its last entry plus 2P, and rebuilds nothing.
+# h = H(m || R) and tau reach width 6 in a ring verify or sign of 11 or more
+# members, width 7 from 29 and width 8 from 74.  A ring member has one job
+# per call and stays at width 5; an unfolded base always does.  Any base but
+# g can be evicted, so it must pay back within the call.  g never is, so it
+# counts the bits of every call since its levels were built, and widens as
+# that lifetime use pays, up to _G_WIDTH: about 440 keygens' worth of g
+# multiples take it to width 10, where a warm keygen adds 24 times, not 43
+# as at width 5.  The count starts at 0, so a one-shot process's first call
+# builds what it would without it.  A base never narrows: a table of width w
+# is a prefix of one of width w + 1, so widening appends to each table in
+# place, from its last entry plus 2P, and rebuilds nothing.
 #
 # Every base a call tables keeps its levels in _CACHE, keyed by
 # (curve.key, x, y): an equal key is the same group, order and
 # endomorphism, so the same levels.  A base's first call builds what it
 # would without the cache, so a one-shot ``ringmix verify`` pays nothing
 # new.  Its next call finds it warm and builds its missing levels, once: at
-# n = 32 the first verify after a sign doubles 5040 times and adds 6020
+# n = 32 the first verify after a sign doubles 5040 times and adds 6065
 # times, against 4830 and 5290 for the same verify on a cold cache.  From
 # then on a ring verified again and again, as a mixing pool's is, doubles
-# about 1020 times and adds 4510 (5510 with every base at width 5).
+# about 1020 times and adds 4260 once g is at width 10 (4540 with g at
+# width 7, 5510 with every base at width 5).
 #
 # On a curve with the endomorphism a table holds (x, y, beta*x) triples, so
 # the image (beta*x, y) of an entry costs no multiplication at use; images
 # kept as separate points took 25% more memory, and computed at each use
 # they made a keygen 4% slower.  A secp256k1 point held is then about
 # 255 bytes (tracemalloc, stdlib ints): 8 levels take 16.7 KB at width 5,
-# 32.8 KB at width 6 and 65 KB at width 7.  The cache holds at most
-# _CACHE_POINTS points, about 1.4 MB; past that it drops the least
-# recently used base that is not a curve's g.  A larger ring keeps warm the
-# members it meets last.  g is never dropped, and so can take the cache
-# past its bound, but only once a batch of about 2500 jobs on g has paid
-# for width 12.
+# 32.8 KB at width 6, 65 KB at width 7 and 0.5 MB at g's cap, width 10.
+# The cache holds at most _CACHE_POINTS points, about 1.8 MB with g's;
+# past that it drops the least recently used base that is not a curve's g.
+# A larger ring keeps warm the members it meets last.  g is never dropped,
+# and at its cap takes 2048 of those points.  Width 11 would take 4096:
+# under the 5376-point bound sized before g widened, a 32-member ring
+# verified for one new message after another then lost its members'
+# levels at each message and rebuilt them (84 tables in place of 16).
 
 _W = 5  # the narrowest NAF width: a table of width w holds P, 3P, ...,
 # (2^(w-1) - 1)P, 2^(w-2) points
@@ -528,6 +536,9 @@ _W = 5  # the narrowest NAF width: a table of width w holds P, 3P, ...,
 # 5 or 4 bits on the test curves), rounded up: 17 on secp256k1, so 8 levels
 # cover a base, about 1.2 ms to build at width 5; 1 on the test curves.
 _FOLDS = 8
+
+# g's widest NAF width: 8 levels of 256 entries, 2048 points, 0.5 MB.
+_G_WIDTH = 10
 
 # A base that is not warm folds only when _SHARE jobs of the call use it.
 # Its first sighting then costs 7 more levels of F doublings and 7 more
@@ -595,12 +606,13 @@ def _glv_split(k, glv, n):
 # (curve.key, x, y) -> [table of 2^(F*i)*P for i = 0, 1, ...], least
 # recently used first; every table of a base has the same width.
 _CACHE: dict[tuple, list] = {}
-# The _CACHE keys of every curve's g: eviction passes them over.
-_PINNED: set[tuple] = set()
-# A 64-member ring at width 5 (8 levels of 8 points each), the g, h and
-# tau of its verify at width 7 (8 levels of 32), and the h and tau of one
-# more message: 5376 points, the room of 21 bases at width 7.
-_CACHE_POINTS = 21 * _FOLDS * 32
+# The _CACHE key of every curve's g, eviction passes them over, and the
+# bits of the scalar halves that g has served since its levels were built.
+_PINNED: dict[tuple, int] = {}
+# A 64-member ring at width 5 (8 levels of 8 points each), g at width
+# _G_WIDTH (8 levels of 256), the h and tau of its verify at width 7 (8
+# levels of 32), and the h and tau of one more message: 7168 points.
+_CACHE_POINTS = _FOLDS * (64 * 8 + 256 + 4 * 32)
 
 
 def multi_mul(curve: CurveParams, jobs) -> list[Point]:
@@ -618,7 +630,8 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     tables; a job whose bases all fold doubles fewer than F times (17 on
     secp256k1).  A folded base's NAF width is the one that makes fewest
     additions in this call, counting the entries it would add to all
-    _FOLDS of its levels, never narrower than its cached tables.  Every
+    _FOLDS of its levels, never narrower than its cached tables; g's, in
+    every call since its levels were built, up to _G_WIDTH.  Every
     base the call tables goes into the process-wide cache with its levels,
     at most _CACHE_POINTS points, least recently used out first, g never.
     The folds, widths and cache change which additions are made where,
@@ -649,6 +662,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     # Taken out of the cache here and put back as the most recent below, so
     # that this call's own bases are the last to be evicted.
     key = curve.key
+    g_key = (key, curve.gx, curve.gy)
     levels = [_CACHE.pop((key, *xy), []) for xy in bases]
     jobs_on = Counter(b for plan in halves for b in {t[0] for t in plan})
     folded = {0} | {b for b, lv in enumerate(levels)
@@ -656,15 +670,19 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
 
     # One step wider adds 2^(w-2) entries to each of a base's _FOLDS
     # levels, and saves about bits/(w+1) - bits/(w+2) of the additions its
-    # digits cost, for the bits of its scalar halves in this call.
+    # digits cost, for the bits of its scalar halves in this call; for g,
+    # in every call since its levels were built, up to width _G_WIDTH.
     bits = [0] * len(bases)
+    bits[0] = _PINNED.get(g_key, 0) if levels[0] else 0
     for plan in halves:
         for b, _, _, kv in plan:
             bits[b] += kv.bit_length()
+    _PINNED[g_key] = bits[0]
     widths = []
     for b, lv in enumerate(levels):
         w = len(lv[0]).bit_length() + 1 if lv else _W  # 2^(w-2) entries
-        while b in folded and _FOLDS * (w + 1) * (w + 2) << (w - 2) < bits[b]:
+        while (b in folded and (b or w < _G_WIDTH)
+               and _FOLDS * (w + 1) * (w + 2) << (w - 2) < bits[b]):
             w += 1
         widths.append(w)
     plans = [[(b, phi, neg, _wnaf(kv, widths[b])) for b, phi, neg, kv in plan]
@@ -707,7 +725,6 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
         if lv:
             _CACHE[(key, *xy)] = lv
     if todo:  # the least recently used, other than any curve's g
-        _PINNED.add((key, curve.gx, curve.gy))
         held = sum(len(lv) * len(lv[0]) for lv in _CACHE.values())
         for k in [k for k in _CACHE if k not in _PINNED]:
             if held <= _CACHE_POINTS:

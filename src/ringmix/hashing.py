@@ -32,7 +32,6 @@ from .curve import (
     Point,
     RingmixError,
     Scalar,
-    chi,
     sqrt_mod,
 )
 
@@ -137,12 +136,14 @@ def ft_fallback_point(curve: CurveParams) -> Point:
 def ft_map(t: int, curve: CurveParams) -> Point:
     """Deterministic Fouque-Tibouchi encoding of a field element, t mod p.
 
-    Of three candidates x1, x2, x3 it keeps the first whose cubic's root
-    a^((p+1)/4) squares back; the three cubics multiply to a square, so
-    one always does.  All three roots are taken, so the operation count
-    is fixed.  The w line multiplies by sqrt(-3), and y is the kept root
-    times chi(t); the exhaustive on-curve test over F_31 pins both
-    choices.
+    Of three candidates x1, x2, x3 it keeps the first whose cubic v has a
+    root; the three cubics multiply to a square, so one always does.  The
+    root is taken as y = (v*t^2)^((p+1)/4) / t, which is v^((p+1)/4) times
+    chi(t), and is kept when y*y == v.  All three are taken, so the
+    operation count is fixed: three exponentiations and one inversion,
+    of t*(1 + b + t^2), which gives both 1/t and the w line's division.
+    The w line multiplies by sqrt(-3), and y carries chi(t); the
+    exhaustive on-curve test over F_31 pins both choices.
     """
     sqrt_m3, c1 = ft_constants(curve)
     p, b = curve.p, curve.b
@@ -150,15 +151,19 @@ def ft_map(t: int, curve: CurveParams) -> Point:
     denom = (1 + b + tv * tv) % p
     if tv == 0 or denom == 0:
         return ft_fallback_point(curve)
-    w = sqrt_m3 * tv % p * pow(denom, -1, p) % p
+    inv = pow(tv * denom, -1, p)
+    t_inv = inv * denom % p
+    w = sqrt_m3 * tv % p * tv % p * inv % p
     x1 = (c1 - tv * w) % p
     x2 = (-1 - x1) % p
-    x3 = (1 + pow(w * w % p, -1, p)) % p
+    # 1/w^2 = (1 + b + t^2)^2 / (-3 t^2), and 1/3 = (2p + 1)/3 as p = 1 mod 3
+    x3 = (1 - (denom * t_inv) ** 2 * ((2 * p + 1) // 3)) % p
+    tt = tv * tv % p
     cubics = [(x, curve.rhs(x)) for x in (x1, x2, x3)]
-    roots = [pow(v, (p + 1) // 4, p) for _, v in cubics]
+    roots = [pow(v * tt % p, (p + 1) // 4, p) * t_inv % p for _, v in cubics]
     for (x, v), y in zip(cubics, roots):
         if y * y % p == v:
-            return Point(curve, x, chi(tv, p) * y % p)
+            return Point(curve, x, y)
     raise HashToCurveError(f"no candidate for t = {tv} is on {curve.curve_id}")
 
 

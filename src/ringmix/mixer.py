@@ -432,10 +432,31 @@ def _int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+# The keys the writer writes, by where they stand; load refuses any other.
+_KEYS = {
+    "the state file": {"accounts", "next_pool_seq", "params", "pools",
+                       "version"},
+    "params": {"curve", "hash", "insecure_override", "security_bits"},
+    "the pool": {"balance", "capacity", "denomination", "deposits", "payouts",
+                 "phase", "refunds", "seen_tags"},
+    "a deposit": {"from", "pk"},
+    "a payout": {"address", "tag"},
+}
+
+
+def _known_keys(where: str, recs, at: str = "") -> None:
+    """Refuses a key of ``recs`` that the writer never writes there."""
+    extra = set().union(*map(dict.keys, recs)) - _KEYS[where]
+    if extra:
+        raise MixerError(f"{at}unknown key {min(extra)!r} in {where}")
+
+
 def _mixer_from_doc(doc) -> Mixer:
     if doc.get("version") != STATE_VERSION:
         raise MixerError(f"unsupported state version {doc.get('version')!r}")
     params = doc["params"]
+    _known_keys("the state file", [doc])
+    _known_keys("params", [params])
     curve = CURVES.get(params["curve"])
     if curve is None:
         raise MixerError(f"unknown curve {params['curve']!r} in state file")
@@ -470,6 +491,15 @@ def _mixer_from_doc(doc) -> Mixer:
                         *pool.payouts)
         if type(rec["refunds"]) is not list or set(map(type, strings)) - {str}:
             raise MixerError(f"{mix_id}: an account or tag is not a string")
+        # Each key _KEYS names for a pool, a deposit and a payout was read
+        # above, or was a KeyError: only a longer dict can hold another.
+        pairs = rec["deposits"] + rec["payouts"]
+        if len(rec) > len(_KEYS["the pool"]) or (
+                sum(map(len, pairs)) > 2 * len(pairs)):
+            for where, recs in (("the pool", [rec]),
+                                ("a deposit", rec["deposits"]),
+                                ("a payout", rec["payouts"])):
+                _known_keys(where, recs, f"{mix_id}: ")
         mixer.pools[mix_id] = pool
         # Books that no lifecycle leaves are refused, and so is a
         # next_pool_seq that would let mix_create give out this id again.

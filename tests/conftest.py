@@ -20,8 +20,10 @@ def rng():
 @pytest.fixture
 def cold_cache(monkeypatch):
     """An empty scalar-multiplication table cache for one test, so counts
-    and cache contents do not depend on which tests ran before."""
+    and cache contents do not depend on which tests ran before.  g's
+    lifetime count is kept apart too, and restored with the cache."""
     monkeypatch.setattr(curve, "_CACHE", {})
+    monkeypatch.setattr(curve, "_PINNED", {})
     return curve._CACHE
 
 

@@ -468,6 +468,14 @@ LEDGER_EDITS = {
         lambda d: d["accounts"].update({"acct-2": -3}),
         ("fund", "--account", "acct-2", "--amount", "5"),
         "error: st.json: account 'acct-2' is -3, below 0\n"),
+    "unknown-pool-key": (
+        lambda d: d["pools"]["mix-0001"].update(withdrawals=0),
+        ("status", "--mix", "mix-0001"),
+        "error: st.json: mix-0001: unknown key 'withdrawals' in the pool\n"),
+    "unknown-deposit-key": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][1].update(amount=1),
+        ("fund", "--account", "acct-2", "--amount", "1"),
+        "error: st.json: mix-0001: unknown key 'amount' in a deposit\n"),
 }
 
 

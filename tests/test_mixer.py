@@ -769,9 +769,20 @@ BAD_DOCUMENTS = {
         doc, lambda d: _pool(d).update(capacity=1)),
     "next-pool-seq-stale": lambda doc: _with(
         doc, lambda d: d.update(next_pool_seq=1)),
+    # A key the writer never writes: a typo, or a field of another version.
+    "unknown-top-key": lambda doc: _with(doc, lambda d: d.update(pool={})),
+    "unknown-params-key": lambda doc: _with(
+        doc, lambda d: d["params"].update(insecure=True)),
+    "unknown-pool-key": lambda doc: _with(
+        doc, lambda d: _pool(d).update(withdrawals=0)),
+    "unknown-deposit-key": lambda doc: _with(
+        doc, lambda d: _pool(d)["deposits"][3].update(amount=1)),
+    "unknown-payout-key": lambda doc: _with(
+        doc, lambda d: _pool(d)["payouts"][0].update(fee=0)),
 }
 
-# The line each well-typed bad book gives, after the file name.
+# The line each well-typed bad book or unknown key gives, after the file
+# name.
 BAD_BOOKS = {
     "seen-tag-dropped": "mix-0001: payout/tag count mismatch",
     "seen-tag-swapped": "mix-0001: seen tags differ from the payout tags",
@@ -786,6 +797,11 @@ BAD_BOOKS = {
     "denomination-zero": "mix-0001 denomination is 0, below 1",
     "capacity-one": "mix-0001 capacity is 1, below 2",
     "next-pool-seq-stale": "next_pool_seq 1 would reuse mix-0001",
+    "unknown-top-key": "unknown key 'pool' in the state file",
+    "unknown-params-key": "unknown key 'insecure' in params",
+    "unknown-pool-key": "mix-0001: unknown key 'withdrawals' in the pool",
+    "unknown-deposit-key": "mix-0001: unknown key 'amount' in a deposit",
+    "unknown-payout-key": "mix-0001: unknown key 'fee' in a payout",
 }
 
 

@@ -391,8 +391,12 @@ def test_verify_shape_builds_only_gs_first_level(monkeypatch, cold_cache):
     assert len(cold_cache[g_key]) == 1
     assert len(cold_cache) == 1 + n + 2  # g, the y_j, h and tau
     assert built == [1 + n + 2 * 8]  # g, the y_j, 8 levels of h and of tau
+    assert widths(cold_cache, SECP256K1, [SECP256K1.g]) == [5]
     assert multi_mul(SECP256K1, jobs) == want
-    assert built[1:] == [7 * (1 + n)]  # 7 more levels of g and of the y_j
+    # 7 more levels of g and of the y_j, and g's first level widened: its
+    # 16 jobs in two calls have paid for width 6.
+    assert built[1:] == [7 * (1 + n) + 1]
+    assert widths(cold_cache, SECP256K1, [SECP256K1.g]) == [6]
     assert multi_mul(SECP256K1, jobs) == want
     assert built[2:] == []
     assert {len(levels) for levels in cold_cache.values()} == {8}
@@ -434,11 +438,13 @@ def test_wide_entries_count_by_their_points(cold_cache):
     # A 32-member ring verified again and again, each time with a new h and
     # tau, as a mixing pool's ring is: its members stay warm at width 5,
     # each new h and tau holds 8 levels of 32 points, and those, not a
-    # count of bases, fill the cache.
+    # count of bases, fill the cache.  g is at its cap, as in a process
+    # that has run a while, and holds 8 levels of 256 points.
     c = SECP256K1
     bound = curve_module._CACHE_POINTS
     rng = random.Random(29)
     ys = [rng.randrange(1, c.n) * c.g for _ in range(32)]
+    widen_g(c, rng)
     for round_ in range(10):
         h, tau = (rng.randrange(1, c.n) * c.g for _ in range(2))
         jobs = []
@@ -448,7 +454,8 @@ def test_wide_entries_count_by_their_points(cold_cache):
         got = multi_mul(c, jobs)
         assert held_points(cold_cache) <= bound
         assert all(len(cold_cache[(c.key, P.x, P.y)][0]) == 32
-                   for P in (c.g, h, tau))
+                   for P in (h, tau))
+        assert widths(cold_cache, c, [c.g]) == [curve_module._G_WIDTH]
         if round_:
             assert all(len(cold_cache[(c.key, y.x, y.y)]) == 8 for y in ys)
     assert all(len(cold_cache[(c.key, y.x, y.y)][0]) == 8 for y in ys)
@@ -461,6 +468,139 @@ def test_wide_entries_count_by_their_points(cold_cache):
 def widths(cache, curve, points):
     return [len(cache[(curve.key, P.x, P.y)][0]).bit_length() + 1
             for P in points]
+
+
+# ---------------------------------------------------------------------------
+# g's width, paid for by its lifetime use
+
+
+def half_bits(curve, k):
+    """The bits of the scalar halves that k*P costs the engine."""
+    glv, n = _GLV.get(curve), curve.n
+    return sum(abs(half).bit_length()
+               for half in (_glv_split(k % n, glv, n) if glv else (k % n,)))
+
+
+def lifetime_width(bits):
+    """g's width once it has served ``bits`` bits of scalar halves: the
+    smallest width whose next step does not pay, up to g's cap."""
+    w = curve_module._W
+    while w < curve_module._G_WIDTH and 8 * (w + 1) * (w + 2) << (w - 2) < bits:
+        w += 1
+    return w
+
+
+def widen_g(curve, rng):
+    """Multiplies g in batches of 1000 until it is at its widest: one on
+    secp256k1, about 30 on test-31."""
+    cache = curve_module._CACHE
+    for _ in range(60):
+        multi_mul(curve, [[(rng.randrange(curve.n), curve.g)]
+                          for _ in range(1000)])
+        if widths(cache, curve, [curve.g]) == [curve_module._G_WIDTH]:
+            return
+    raise AssertionError("g did not widen to its cap")
+
+
+def test_g_widens_with_lifetime_use_up_to_its_cap(cold_cache):
+    # One keygen at a time: the 256 bits of one never pay for width 6, the
+    # bits that g has served since its levels were built do.  A batch past
+    # width 11's payback leaves g at its cap.
+    c = SECP256K1
+    g_key = (c.key, c.gx, c.gy)
+    rng = random.Random(47)
+    spent, seen = 0, []
+    while lifetime_width(spent) < 7:
+        k = rng.randrange(c.n)
+        assert k * c.g == oracle_mul(k, c.g)
+        spent += half_bits(c, k)
+        seen.extend(widths(cold_cache, c, [c.g]))
+        assert seen[-1] == lifetime_width(spent)
+    assert seen[0] == 5 and 6 in seen and seen[-1] == 7
+    for _ in range(2):
+        ks = [rng.randrange(c.n) for _ in range(1200)]
+        jobs = [[(k, c.g)] for k in ks]
+        for job, got in zip(jobs[:3], multi_mul(c, jobs)):
+            assert got == oracle_sum(c, job)
+        spent += sum(half_bits(c, k) for k in ks)
+        assert spent > 8 * 11 * 12 << 8  # width 11 would pay for itself
+        assert widths(cold_cache, c, [c.g]) == [curve_module._G_WIDTH] == [10]
+    assert len(cold_cache[g_key]) == 8
+    assert {len(t) for t in cold_cache[g_key]} == {256}
+
+
+def test_clearing_the_cache_forgets_gs_count(cold_cache):
+    # The same keygens widen g at the same one after the cache is cleared:
+    # the count starts again with g's levels.
+    c = SECP256K1
+    rng = random.Random(53)
+    ks = [rng.randrange(c.n) for _ in range(12)]
+
+    def keygens():
+        seen = []
+        for k in ks:
+            k * c.g
+            seen.extend(widths(cold_cache, c, [c.g]))
+        return seen
+
+    first = keygens()
+    assert first[0] == 5 and first[-1] == 6
+    cold_cache.clear()
+    assert keygens() == first
+
+
+def test_a_64_member_ring_fits_beside_g_at_its_cap(monkeypatch, cold_cache):
+    # The working set the cache bound is sized for: a 64-member ring, g at
+    # its cap, the h and tau of its verify and those of one more message.
+    # The third verify of the same message builds nothing, and a fourth on
+    # a new message evicts none of the ring.
+    built = []
+    odd_multiples = curve_module._odd_multiples
+
+    def counting(Js, tables, sizes, p):
+        built.append(len(Js))
+        return odd_multiples(Js, tables, sizes, p)
+
+    c = SECP256K1
+    rng = random.Random(59)
+    jobs = verify_shape(c, rng, 64)
+    widen_g(c, rng)
+    monkeypatch.setattr(curve_module, "_odd_multiples", counting)
+    want = multi_mul(c, jobs)
+    assert multi_mul(c, jobs) == want
+    built.clear()
+    assert multi_mul(c, jobs) == want
+    assert built == []
+    assert len(cold_cache) == 1 + 64 + 2
+    assert widths(cold_cache, c, [c.g]) == [10]
+    h2, tau2 = (rng.randrange(1, c.n) * c.g for _ in range(2))
+    jobs2 = [[(job[0][0], h2), (job[1][0], tau2)] if i % 2 else job
+             for i, job in enumerate(jobs)]
+    got = multi_mul(c, jobs2)
+    assert len(cold_cache) == 1 + 64 + 4
+    assert held_points(cold_cache) <= curve_module._CACHE_POINTS
+    for job, P in zip(jobs[:4] + jobs2[:4], want[:4] + got[:4]):
+        assert P == oracle_sum(c, job)
+
+
+def test_g_at_its_cap_tiny(cold_cache):
+    c = TEST_CURVE_31
+    widen_g(c, random.Random(61))
+    every_point_every_scalar(c)
+    every_pair_of_points_one_batch(c)
+    assert widths(cold_cache, c, [c.g]) == [10]
+
+
+def test_g_at_its_cap_secp256k1(cold_cache):
+    c = SECP256K1
+    rng = random.Random(67)
+    widen_g(c, rng)
+    for k in edge_scalars(c.n) + [rng.randrange(c.n) for _ in range(8)]:
+        assert k * c.g == oracle_mul(k, c.g), k
+    jobs = verify_shape(c, rng, 8)
+    for job, got in zip(jobs, multi_mul(c, jobs)):
+        assert got == oracle_sum(c, job)
+    assert widths(cold_cache, c, [c.g]) == [10]
 
 
 def test_bases_shared_past_the_payback_widen(cold_cache):
@@ -530,28 +670,42 @@ def test_widened_in_place_from_a_narrow_table(cold_cache):
 
 def test_narrow_shapes_build_what_they_built(monkeypatch, cold_cache):
     # Below the payback (verifies of 8 or fewer members, keygens) every
-    # table has 8 entries, on a cold cache and on a warm one.
-    sizes = []
+    # table of a base other than g has 8 entries, on a cold cache and on a
+    # warm one.  g widens in place as its lifetime use pays: in the third
+    # 4-member verify and in the second 8-member one.
+    c = SECP256K1
+    g_key = (c.key, c.gx, c.gy)
+    built = []  # (table, size, widened?) of one call
     odd_multiples = curve_module._odd_multiples
 
     def recording(Js, tables, sizes_, p):
-        assert not any(tables)  # nothing widens
-        sizes.extend(sizes_)
+        built.extend((t, size, bool(t)) for t, size in zip(tables, sizes_))
         return odd_multiples(Js, tables, sizes_, p)
 
     monkeypatch.setattr(curve_module, "_odd_multiples", recording)
-    c = SECP256K1
+    sizes, g_widths = [], []
+
+    def call(fn):
+        built.clear()
+        fn()
+        for t, size, widened in built:
+            if not any(t is g_table for g_table in cold_cache[g_key]):
+                assert not widened  # nothing but g widens
+                sizes.append(size)
+        g_widths.extend(widths(cold_cache, c, [c.g]))
+
     rng = random.Random(41)
     for n in (4, 8):
         jobs = verify_shape(c, rng, n)
         cold_cache.clear()
         for _ in range(3):
-            multi_mul(c, jobs)
+            call(lambda: multi_mul(c, jobs))
     for _ in range(3):
         cold_cache.clear()
-        rng.randrange(c.n) * c.g
-        rng.randrange(c.n) * c.g
+        call(lambda: rng.randrange(c.n) * c.g)
+        call(lambda: rng.randrange(c.n) * c.g)
     assert sizes and set(sizes) == {8}
+    assert g_widths == [5, 5, 6, 5, 6, 6] + [5] * 6
     assert {len(t) for lv in cold_cache.values() for t in lv} == {8}
 
 
