@@ -235,11 +235,10 @@ def cmd_mix(args, pp: None) -> int:
             mixer = Mixer(_build_params(args))
         rc = EXIT_OK
         if args.mix_cmd == "create":
-            mix_id = mixer.mix_create(args.denomination, args.capacity)
-            print(mix_id)
+            out = mixer.mix_create(args.denomination, args.capacity)
         elif args.mix_cmd == "fund":
             mixer.fund(args.account, args.amount)
-            print(f"{args.account} {mixer.balance(args.account)}")
+            out = f"{args.account} {mixer.balance(args.account)}"
         elif args.mix_cmd == "deposit":
             pk_hex = args.pk
             if os.path.exists(pk_hex):
@@ -249,26 +248,28 @@ def cmd_mix(args, pp: None) -> int:
             except (ValueError, CurveError) as exc:
                 raise CliError(f"bad public key: {exc}") from None
             count = mixer.mix_deposit(args.mix, pk, getattr(args, "from"))
-            print(f"deposits {count}/{mixer.pools[args.mix].capacity}")
+            out = f"deposits {count}/{mixer.pools[args.mix].capacity}"
         elif args.mix_cmd == "ring":
             ring = mixer.mix_ring(args.mix)
-            for pk in ring:
-                print(pk.encode().hex())
+            out = "\n".join(pk.encode().hex() for pk in ring)
         elif args.mix_cmd == "message":
-            print(withdraw_message(args.mix, args.payout).decode())
+            out = withdraw_message(args.mix, args.payout).decode()
         elif args.mix_cmd == "withdraw":
             status = mixer.mix_withdraw(
                 args.mix, _sig_bytes(args.sig), args.payout
             )
-            print(status.value.upper().replace("-", "_"))
+            out = status.value.upper().replace("-", "_")
             rc = EXIT_OK if status is WithdrawStatus.ACCEPTED else EXIT_REJECT
         elif args.mix_cmd == "status":
             info = mixer.mix_status(args.mix)
-            print(" ".join(f"{k}={v}" for k, v in info.items()))
+            out = " ".join(f"{k}={v}" for k, v in info.items())
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown mix command {args.mix_cmd!r}")
+        # Printed only once the ledger is saved, so no failed save reports
+        # a change it did not keep.
         if not (existed and args.mix_cmd in _READ_ONLY_MIX):
             save_state(mixer, args.state)
+    print(out)
     return rc
 
 

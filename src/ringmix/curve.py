@@ -23,13 +23,11 @@ from __future__ import annotations
 from collections import Counter
 import hashlib
 
-try:
-    from gmpy2 import mpz, invert as _invert
-except ImportError:  # gmpy2 is optional; stdlib ints run the same code
-    mpz = int
+mpz = int  # read only by perfbench/run.py:132, to report the arithmetic
 
-    def _invert(a, m):
-        return pow(a, -1, m)
+
+def _invert(a, m):
+    return pow(a, -1, m)
 
 
 class RingmixError(Exception):
@@ -301,8 +299,7 @@ class CurveParams(_Frozen):
 
 # The group law runs on bare tuples so the hot loops stay free of object
 # construction: affine (x, y), and Jacobian (X, Y, Z) standing for
-# (X/Z^2, Y/Z^3); None is infinity.  gmpy2 integers roughly halve the cost
-# of 256-bit work when available.
+# (X/Z^2, Y/Z^3); None is infinity.
 
 
 def _jdouble(J, p):
@@ -341,7 +338,7 @@ def _to_affine(Js, p):
     # and returned, so a large batch never holds both forms of its points.
     live = [i for i, J in enumerate(Js) if J is not None]
     prefix = []
-    acc = mpz(1)
+    acc = 1
     for i in live:
         prefix.append(acc)
         acc = acc * Js[i][2] % p
@@ -381,14 +378,11 @@ class Point(_Frozen):
     def _wrap(cls, curve: CurveParams, xy) -> "Point":
         if xy is None:
             return cls.infinity(curve)
-        return cls(curve, int(xy[0]), int(xy[1]))
+        return cls(curve, *xy)
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def _xy(self):
-        return None if self.x is None else (mpz(self.x), mpz(self.y))
 
     def _same_curve(self, other: "Point") -> None:
         if not isinstance(other, Point):
@@ -398,9 +392,10 @@ class Point(_Frozen):
 
     def __add__(self, other: "Point") -> "Point":
         self._same_curve(other)
-        p = mpz(self.curve.p)
-        J = None if self.is_infinity else (*self._xy(), 1)
-        return Point._wrap(self.curve, _to_affine([_jadd(J, other._xy(), p)], p)[0])
+        p = self.curve.p
+        J = None if self.is_infinity else (self.x, self.y, 1)
+        Q = None if other.is_infinity else (other.x, other.y)
+        return Point._wrap(self.curve, _to_affine([_jadd(J, Q, p)], p)[0])
 
     def __neg__(self) -> "Point":
         if self.is_infinity:
@@ -637,7 +632,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
     The folds, widths and cache change which additions are made where,
     never the result.
     """
-    p, n = mpz(curve.p), curve.n
+    p, n = curve.p, curve.n
     glv = _GLV.get(curve)
     bases: dict[tuple, int] = {(curve.gx, curve.gy): 0}  # (x, y) -> index
     halves = []  # per job, (base, endomorphism?, negative?, |scalar half|)
@@ -706,7 +701,7 @@ def multi_mul(curve: CurveParams, jobs) -> list[Point]:
             todo += [(None if t[0] is None else (t[0][0], t[0][1], 1), t, size)
                      for t in lv]
         have = len(lv)
-        last = lv[-1][0] if have else (mpz(x), mpz(y))
+        last = lv[-1][0] if have else (x, y)
         J = None if last is None else (last[0], last[1], 1)
         for i in range(have, need[b]):
             if i:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import enum
 from itertools import chain
-from operator import itemgetter
 import os
 import shutil
 
@@ -486,11 +485,12 @@ def _mixer_from_doc(doc) -> Mixer:
             refunds=rec["refunds"],
             balance=_int(rec["balance"], f"{mix_id} balance"),
         )
-        # A string would pass as refunds.  Keys are left to MixPool.ring.
-        strings = chain(pool.refunds, map(itemgetter(1), pool.deposits),
-                        *pool.payouts)
+        # A string would pass as refunds.  Decoding keys is left to
+        # MixPool.ring, but a key that is not a string could not be saved.
+        strings = chain(pool.refunds, *pool.deposits, *pool.payouts)
         if type(rec["refunds"]) is not list or set(map(type, strings)) - {str}:
-            raise MixerError(f"{mix_id}: an account or tag is not a string")
+            raise MixerError(
+                f"{mix_id}: an account, key or tag is not a string")
         # Each key _KEYS names for a pool, a deposit and a payout was read
         # above, or was a KeyError: only a longer dict can hold another.
         pairs = rec["deposits"] + rec["payouts"]

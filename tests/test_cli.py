@@ -77,7 +77,7 @@ def test_keygen_writes_key_files(workdir):
 
 
 def _limit_file_size():
-    # The key write fails after 16 bytes, as a crash inside it would stop.
+    # A file write fails after 16 bytes, as a crash inside it would stop.
     os.umask(0o022)
     signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
     resource.setrlimit(resource.RLIMIT_FSIZE, (16, 16))
@@ -376,6 +376,17 @@ def test_mix_message_creates_missing_state_file(workdir):
     assert (workdir / "st.json").read_bytes() == EMPTY_TEST31_LEDGER.encode()
 
 
+def test_mix_command_prints_nothing_when_its_save_fails(workdir):
+    base = ("--curve", "test-31", "--state", "st.json", "mix")
+    run_cli(*base, "message", "--mix", "mix-0001", "--payout", "p",
+            cwd=workdir)
+    res = run_cli(*base, "create", "--denomination", "1", "--capacity", "2",
+                  cwd=workdir, preexec_fn=_limit_file_size)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        3, "", "error: File too large\n")
+    assert (workdir / "st.json").read_bytes() == EMPTY_TEST31_LEDGER.encode()
+
+
 CORRUPTIONS = {
     "truncated": lambda text: text[: len(text) // 2],
     "no-pools": lambda text: json.dumps(
@@ -408,7 +419,12 @@ LEDGER_EDITS = {
     "deposit-key-not-str": (
         lambda d: d["pools"]["mix-0001"]["deposits"][2].update(pk=5),
         ("ring", "--mix", "mix-0001"),
-        "error: mix-0001: a deposit key is not hex\n"),
+        "error: st.json: mix-0001: an account, key or tag is not a string\n"),
+    # Refused at load, before a saving command could try to write it.
+    "deposit-key-int": (
+        lambda d: d["pools"]["mix-0001"]["deposits"][0].update(pk=5),
+        ("fund", "--account", "acct-2", "--amount", "1"),
+        "error: st.json: mix-0001: an account, key or tag is not a string\n"),
     "next-pool-seq-str": (
         lambda d: d.update(next_pool_seq="x"),
         ("create", "--denomination", "1", "--capacity", "2"),
@@ -429,11 +445,11 @@ LEDGER_EDITS = {
     "refunds-str": (
         lambda d: d["pools"]["mix-0001"].update(refunds="abc"),
         ("status", "--mix", "mix-0001"),
-        "error: st.json: mix-0001: an account or tag is not a string\n"),
+        "error: st.json: mix-0001: an account, key or tag is not a string\n"),
     "deposit-funder-int": (
         lambda d: d["pools"]["mix-0001"]["deposits"][0].update({"from": 7}),
         ("fund", "--account", "acct-2", "--amount", "1"),
-        "error: st.json: mix-0001: an account or tag is not a string\n"),
+        "error: st.json: mix-0001: an account, key or tag is not a string\n"),
     "insecure-override-str": (
         lambda d: d["params"].update(hash="insecure-mult-g",
                                      insecure_override="false"),
@@ -564,6 +580,11 @@ def test_attack_commands(workdir):
                   cwd=workdir)
     assert res.returncode == 0
     assert res.stdout.startswith("anonymity-set ")
+    # Under the honest map the naive-hash attack finds no signer.
+    res = run_cli("--curve", "test-31", "attack", "naive-hash",
+                  "--ring", "ring.txt", "--msg", "reveal",
+                  "--sig", "@rsig.hex", cwd=workdir)
+    assert (res.returncode, res.stdout) == (0, "attack-failed\n")
 
 
 def test_insecure_hash_requires_flag(workdir):
@@ -634,6 +655,18 @@ STATE_ERRORS = {
     "undecodable-ring-file": (
         _undecodable_ring_file, SIGN,
         "error: ring.txt:1: non-hexadecimal number"),
+    "verify-msg-hex-not-hex": (
+        _two_keys, ("--curve", "test-31", "verify", "--ring", "ring.txt",
+                    "--msg-hex", "zz", "--sig", "@sig.hex"),
+        "error: --msg-hex is not valid hex"),
+    "deposit-bad-public-key": (
+        None, ("--curve", "test-31", "--state", "st.json", "mix", "deposit",
+               "--mix", "mix-0001", "--pk", "02zz", "--from", "a"),
+        "error: bad public key: "),
+    "fund-negative-amount": (
+        None, ("--curve", "test-31", "--state", "st.json", "mix", "fund",
+               "--account", "a", "--amount", "-1"),
+        "error: cannot fund a negative amount"),
 }
 
 

@@ -423,6 +423,12 @@ def test_composite_p_rejected():
     bad = CurveParams(curve_id="bad-p", p=15, b=7, gx=1, gy=0, n=4)
     with pytest.raises(CurveError):
         bad.validate()
+    # 1763 = 41 * 43 = 3 mod 4 has no factor up to 37, the trial divisors,
+    # so only the Miller-Rabin rounds can refuse it.
+    assert not any(map(curve_module._is_probable_prime, (0, 1, 1763)))
+    bad = CurveParams(curve_id="bad-p", p=1763, b=7, gx=1, gy=1, n=1764)
+    with pytest.raises(CurveError, match="p is not prime"):
+        bad.validate()
 
 
 def test_p_1_mod_4_rejected():

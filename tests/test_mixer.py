@@ -9,6 +9,7 @@ payout) are asserted for every seed.  The acceptance fuzz repeats the whole
 exercise on secp256k1 where the lucky branches have probability ~2^-256.
 """
 
+import io
 import json
 import random
 import re
@@ -885,10 +886,12 @@ def mutated_ledgers(draw):
     return json.dumps(doc).encode()
 
 
-# Random replacements rarely hit these two, which fail inside setup()
-# with errors that are not MixerErrors.
+# Random replacements rarely hit the first two, which fail inside setup()
+# with errors that are not MixerErrors.  A ledger that loads must also
+# save, so a deposit key that is not a string has to be refused on load.
 @example(data=_replaced(("params", "curve"), "test-11"))
 @example(data=_replaced(("params", "hash"), "insecure-mult-g"))
+@example(data=_replaced(("pools", "mix-0001", "deposits", 0, "pk"), 5))
 @settings(max_examples=300, deadline=None)
 @given(data=mutated_ledgers())
 def test_load_state_fuzz_raises_only_mixer_error(data, tmp_path_factory):
@@ -900,6 +903,7 @@ def test_load_state_fuzz_raises_only_mixer_error(data, tmp_path_factory):
         assert str(exc).startswith(f"{path}: ")
         return
     assert isinstance(loaded, Mixer)
+    mixer_module._write_state(loaded, io.StringIO())
 
 
 # ---------------------------------------------------------------------------

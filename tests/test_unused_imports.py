@@ -1,8 +1,8 @@
 """No module of the package, its tests or its scripts imports a name it
 never uses.  A stdlib AST scan stands in for a linter: a name counts as used
-when it appears anywhere in the module as an identifier, or inside a quoted
-annotation.  The imports of an ``__init__.py`` are its re-exports and are
-not checked."""
+when the module reads it anywhere as an identifier, or inside a quoted
+annotation; assigning to it does not count.  The imports of an
+``__init__.py`` are its re-exports and are not checked."""
 
 import ast
 from pathlib import Path
@@ -29,7 +29,7 @@ def unused_imports(source: str, is_init: bool = False) -> list[str]:
                 if alias.name != "*":
                     bound = alias.asname or alias.name.split(".")[0]
                     imported.append((node.lineno, bound))
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
                                ast.AsyncFunctionDef)):
@@ -48,9 +48,12 @@ def test_scan_finds_unused_and_skips_reexports():
               "import json as j\n"
               "from re import compile, escape\n"
               "from typing import Sequence\n"
+              "import glob\n"
               "def f(x: 'Sequence[int]'):\n"
+              "    glob = x\n"
               "    return os.sep, compile\n")
-    assert unused_imports(source) == ["line 3: j", "line 4: escape"]
+    assert unused_imports(source) == ["line 3: j", "line 4: escape",
+                                      "line 6: glob"]
     assert unused_imports(source, is_init=True) == []
 
 
