@@ -100,6 +100,8 @@ def _message_bytes(args) -> bytes:
 
 def _sig_bytes(value: str) -> bytes:
     # "@path" reads the hex from a file, anything else is inline hex
+    if value == "@":
+        raise CliError("no file name after @")
     if value.startswith("@"):
         value = _read_text(value[1:]).strip()
     try:
@@ -224,7 +226,10 @@ _READ_ONLY_MIX = ("ring", "message", "status")
 def cmd_mix(args, pp: None) -> int:
     # No parameters come in: an existing ledger brings its own curve and
     # hash, and only a new one is built from the flags.
-    if os.path.isdir(args.state):  # refused before the lock file is made
+    # Refused before the lock file is made.
+    if not args.state:
+        raise CliError("--state is an empty path")
+    if os.path.isdir(args.state):
         raise CliError(f"{args.state}: Is a directory")
     with _state_lock(args.state):
         existed = os.path.exists(args.state)
@@ -463,7 +468,3 @@ def main(argv: list[str] | None = None) -> int:
     except RingmixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -131,13 +131,8 @@ class Scalar(_Frozen):
             return NotImplemented
         return Scalar(self.value * v, self.modulus)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.modulus == other.modulus and self.value == other.value
-
+    # Equal, as every _Frozen value, only to a Scalar of the same value and
+    # modulus, never to an int, so equal Scalars hash alike.
     def __hash__(self):
         return hash(self.value)
 
@@ -455,9 +450,7 @@ class Point(_Frozen):
             raise PointDecodeError("y = 0 point has no odd-parity encoding")
         if (y & 1) != want_odd:
             y = curve.p - y
-        pt = object.__new__(cls)  # y*y == rhs(x) holds: no second check
-        _Frozen.__init__(pt, curve, x, y)
-        return pt
+        return cls(curve, x, y)
 
 
 # ---------------------------------------------------------------------------

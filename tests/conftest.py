@@ -60,6 +60,36 @@ def distinct_keys(pp, rng, count):
     return keys
 
 
+def affine_add(curve, A, B):
+    """A + B for affine (x, y) tuples, None standing for infinity."""
+    if A is None or B is None:
+        return B if A is None else A
+    p = curve.p
+    (x1, y1), (x2, y2) = A, B
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if x1 == x2:
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, p)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p)
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def oracle_xy(k, P):
+    """Literal k*P by right-to-left double-and-add, no reduction."""
+    A = None if P.is_infinity else (P.x, P.y)
+    if k < 0 and A:
+        A = (A[0], -A[1] % P.curve.p)
+    k, R = abs(k), None
+    while k:
+        if k & 1:
+            R = affine_add(P.curve, R, A)
+        A = affine_add(P.curve, A, A)
+        k >>= 1
+    return R
+
+
 def brute_force_points(curve):
     """Every affine point by scanning the full (x, y) grid; the infinity
     point is appended.  Independent of the package's point logic."""

@@ -622,6 +622,12 @@ def _undecodable_ring_file(workdir):
     (workdir / "ring.txt").write_bytes(b"\xff\xfe\n")
 
 
+def _open_pool(workdir):
+    res = run_cli("--curve", "test-31", "--state", "st.json", "mix", "create",
+                  "--denomination", "1", "--capacity", "2", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+
+
 SIGN = ("--curve", "test-31", "--seed", "9", "sign", "--key", "alice.sk",
         "--ring", "ring.txt", "--msg", "x")
 STATE_ERRORS = {
@@ -667,7 +673,26 @@ STATE_ERRORS = {
         None, ("--curve", "test-31", "--state", "st.json", "mix", "fund",
                "--account", "a", "--amount", "-1"),
         "error: cannot fund a negative amount"),
+    "deposit-identity-key": (
+        _open_pool, ("--state", "st.json", "mix", "deposit", "--mix",
+                     "mix-0001", "--pk", "00", "--from", "a"),
+        "error: deposit key is not a valid point on the mix curve"),
+    "state-empty-path": (
+        None, ("--curve", "test-31", "--state", "", "mix", "create",
+               "--denomination", "1", "--capacity", "2"),
+        "error: --state is an empty path"),
+    "verify-sig-at-without-name": (
+        _two_keys, ("--curve", "test-31", "verify", "--ring", "ring.txt",
+                    "--msg", "x", "--sig", "@"),
+        "error: no file name after @"),
 }
+# Rows that must leave the working directory and its parent as they were.
+WRITES_NOTHING = {"state-empty-path", "state-is-a-directory",
+                  "verify-sig-at-without-name"}
+
+
+def _listing(path):
+    return sorted(p.name for p in path.iterdir())
 
 
 @pytest.mark.parametrize("name", sorted(STATE_ERRORS))
@@ -675,10 +700,13 @@ def test_state_and_input_errors_exit_3_with_one_line(workdir, name):
     prepare, args, start = STATE_ERRORS[name]
     if prepare:
         prepare(workdir)
+    before = _listing(workdir), _listing(workdir.parent)
     res = run_cli(*args, cwd=workdir)
     assert res.returncode == 3
     assert res.stderr.startswith(start)
     assert res.stderr.count("\n") == 1
+    if name in WRITES_NOTHING:
+        assert (_listing(workdir), _listing(workdir.parent)) == before
 
 
 @pytest.mark.parametrize("sizes", ["2,x", "", "1,4", "4,0"])

@@ -34,6 +34,15 @@ def test_addition_reduces():
     assert Scalar(10, 11) + Scalar(5, 11) == Scalar(4, 11)
 
 
+def test_scalars_equal_only_scalars_of_one_modulus():
+    # Equal values hash alike, so a Scalar never equals a bare int.
+    assert Scalar(5, 21) == Scalar(26, 21)
+    assert hash(Scalar(5, 21)) == hash(Scalar(26, 21))
+    assert Scalar(5, 21) != 26 and Scalar(5, 21) != 5
+    assert Scalar(5, 21) != Scalar(5, 22)
+    assert 26 not in {Scalar(5, 21)}
+
+
 def test_modulus_mismatch_rejected():
     with pytest.raises(ModulusMismatchError):
         Scalar(1, 11) + Scalar(1, 31)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import distinct_keys
+from conftest import affine_add, distinct_keys, oracle_xy
 
 from ringmix import (
     DleqProof,
@@ -157,11 +157,19 @@ def test_ring_rejects_mixed_curves(pp_secp, rng):
         canonical_ring([ring_gen(pp_secp, rng).pk, Point(TEST_CURVE_31, 4, 3)])
 
 
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("stray", [object(), "02ab"], ids=["object", "hex"])
+def test_ring_rejects_a_member_that_is_not_a_point(pp_secp, rng, stray, first):
+    pk = ring_gen(pp_secp, rng).pk
+    with pytest.raises(RingError, match="not a Point"):
+        canonical_ring([stray, pk] if first else [pk, stray])
+
+
 def test_ring_index_lookup(pp_secp, rng):
     keys = [ring_gen(pp_secp, rng) for _ in range(3)]
     ring = canonical_ring([k.pk for k in keys])
     for k in keys:
-        assert ring[ring.index_of(k.pk)] == k.pk
+        assert ring.members[ring.index_of(k.pk)] == k.pk
     with pytest.raises(SignerNotInRingError):
         ring.index_of(ring_gen(pp_secp, rng).pk)
 
@@ -197,6 +205,8 @@ def test_sign_requires_membership(pp31):
     ring = canonical_ring([k.pk for k in keys[:2]])
     with pytest.raises(SignerNotInRingError):
         ring_sign(pp31, outsider.sk, ring, b"x", rng)
+    with pytest.raises(UrsError, match="curve order"):
+        ring_sign(pp31, Scalar(keys[0].sk.value, 31), ring, b"x", rng)
 
 
 def test_tag_stable_across_randomness(pp31):
@@ -257,36 +267,15 @@ def test_verify_rejects_wrong_structure(pp31):
         sig.msg_hash,
     )
     assert not ring_verify(pp31, ring, b"s", wrong_mod)
+    other_curve = Signature(Tag(Point(TEST_CURVE_11, 5, 0)), sig.cs, sig.ts,
+                            sig.ring_hash, sig.msg_hash)
+    assert not ring_verify(pp31, ring, b"s", other_curve)
 
 
 def test_challenge_sum_matches_independent_transcript_oracle(pp31):
-    """Rebuild the verification sum from scratch: local point arithmetic,
-    local transcript serialization, local hash.  Pins the wire-level
-    challenge contract, not just internal consistency."""
-
-    def add(P, Q, p):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        (x1, y1), (x2, y2) = P, Q
-        if x1 == x2 and (y1 + y2) % p == 0:
-            return None
-        if P == Q:
-            lam = (3 * x1 * x1) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        return (x3, (lam * (x1 - x3) - y1) % p)
-
-    def mul(k, P, p):
-        R = None
-        while k:
-            if k & 1:
-                R = add(R, P, p)
-            P = add(P, P, p)
-            k >>= 1
-        return R
+    """Rebuild the verification sum from scratch: the affine oracle's point
+    arithmetic, local transcript serialization, local hash.  Pins the
+    wire-level challenge contract, not just internal consistency."""
 
     def compress(P, width):
         if P is None:
@@ -295,29 +284,35 @@ def test_challenge_sum_matches_independent_transcript_oracle(pp31):
         return bytes([0x02 | (y & 1)]) + x.to_bytes(width, "big")
 
     curve = pp31.curve
-    p, width = curve.p, curve.field_bytes
-    rng = random.Random(1)
-    keys = distinct_keys(pp31, rng, 4)
-    ring = canonical_ring([k.pk for k in keys])
-    msg = b"oracle-check"
-    sig = ring_sign(pp31, keys[1].sk, ring, msg, rng)
-    assert ring_verify(pp31, ring, msg, sig)
+    width = curve.field_bytes
+    # A challenge mod 21 matches a wrong transcript 1 time in 21, so one
+    # seed alone proves little: seed 1 also matched the transcript without
+    # its zero counter byte, and seeds 3 and 4 do not.
+    for seed in (1, 3, 4):
+        rng = random.Random(seed)
+        keys = distinct_keys(pp31, rng, 4)
+        ring = canonical_ring([k.pk for k in keys])
+        msg = b"oracle-check"
+        sig = ring_sign(pp31, keys[1].sk, ring, msg, rng)
+        assert ring_verify(pp31, ring, msg, sig)
 
-    g = (curve.gx, curve.gy)
-    h_pt = ring_message_point(pp31, msg, ring)
-    h = (h_pt.x, h_pt.y)
-    tau = (sig.tau.point.x, sig.tau.point.y)
+        h = ring_message_point(pp31, msg, ring)
+        tau = sig.tau.point
 
-    transcript = [b"urs-ring", len(msg).to_bytes(8, "big"), msg, ring.canonical_bytes]
-    for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
-        a_j = add(mul(t_j.value, g, p), mul(c_j.value, (y_j.x, y_j.y), p), p)
-        b_j = add(mul(t_j.value, h, p), mul(c_j.value, tau, p), p)
-        transcript.append(compress(a_j, width))
-        transcript.append(compress(b_j, width))
-    raw = hashlib.sha256(b"\x02" + b"".join(transcript)).digest()
-    expected = int.from_bytes(raw, "big") % curve.n
+        transcript = [b"urs-ring", len(msg).to_bytes(8, "big"), msg,
+                      ring.canonical_bytes]
+        for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
+            a_j = affine_add(curve, oracle_xy(t_j.value, curve.g),
+                             oracle_xy(c_j.value, y_j))
+            b_j = affine_add(curve, oracle_xy(t_j.value, h),
+                             oracle_xy(c_j.value, tau))
+            transcript.append(compress(a_j, width))
+            transcript.append(compress(b_j, width))
+        # the to-scalar domain tag 0x02, then the zero counter byte
+        raw = hashlib.sha256(b"\x02\x00" + b"".join(transcript)).digest()
+        expected = int.from_bytes(raw, "big") % curve.n
 
-    assert sum(c.value for c in sig.cs) % curve.n == expected
+        assert sum(c.value for c in sig.cs) % curve.n == expected
 
 
 def test_wrong_modulus_reduction_breaks_completeness(pp31):
@@ -644,12 +639,15 @@ def test_dleq_zero_witness_rejected(pp31, dleq_bases):
     g1, g2 = dleq_bases
     with pytest.raises(UrsError):
         dleq_prove(pp31.curve.scalar(0), g1, g2, random.Random(0))
+    with pytest.raises(UrsError, match="curve order"):
+        dleq_prove(Scalar(3, 31), g1, g2, random.Random(0))
 
 
 def test_dleq_infinity_generator_rejected(pp31):
-    inf = Point.infinity(pp31.curve)
+    g, inf, three = pp31.curve.g, Point.infinity(pp31.curve), pp31.curve.scalar(3)
     with pytest.raises(UrsError):
-        dleq_prove(pp31.curve.scalar(3), pp31.curve.g, inf, random.Random(0))
+        dleq_prove(three, g, inf, random.Random(0))
+    assert not dleq_verify(three * g, inf, g, inf, DleqProof(three, three))
 
 
 # ---------------------------------------------------------------------------
