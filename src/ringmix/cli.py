@@ -83,15 +83,18 @@ def _rng(args):
 
 
 def _read_text(path: str) -> str:
+    if not path:
+        raise CliError("empty file name")
     # Undecodable bytes fail the hex parse that follows, with its message.
     with open(path, encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 
 def _message_bytes(args) -> bytes:
-    # argparse has already required exactly one of the two flags.
+    # argparse has already required exactly one of the two flags.  --msg
+    # signs the argument's own bytes, which need not be UTF-8.
     if args.msg_hex is None:
-        return args.msg.encode()
+        return os.fsencode(args.msg)
     try:
         return bytes.fromhex(args.msg_hex)
     except ValueError:
@@ -100,8 +103,6 @@ def _message_bytes(args) -> bytes:
 
 def _sig_bytes(value: str) -> bytes:
     # "@path" reads the hex from a file, anything else is inline hex
-    if value == "@":
-        raise CliError("no file name after @")
     if value.startswith("@"):
         value = _read_text(value[1:]).strip()
     try:
@@ -142,6 +143,8 @@ def _load_key(path: str, pp: PublicParams):
 
 
 def cmd_keygen(args, pp: PublicParams) -> int:
+    if not args.out:
+        raise CliError("--out is an empty path")
     pair = ring_gen(pp, _rng(args))
     sk_path = args.out + ".sk"
     pk_path = args.out + ".pk"
@@ -258,7 +261,8 @@ def cmd_mix(args, pp: None) -> int:
             ring = mixer.mix_ring(args.mix)
             out = "\n".join(pk.encode().hex() for pk in ring)
         elif args.mix_cmd == "message":
-            out = withdraw_message(args.mix, args.payout).decode()
+            out = withdraw_message(args.mix, args.payout).decode(
+                errors="surrogateescape")
         elif args.mix_cmd == "withdraw":
             status = mixer.mix_withdraw(
                 args.mix, _sig_bytes(args.sig), args.payout

@@ -81,9 +81,10 @@ class WithdrawStatus(enum.Enum):
 def withdraw_message(mix_id: str, payout_address: str) -> bytes:
     """Canonical signed message for a withdrawal.
 
-    Generated mix ids never contain '|', so the split is unambiguous.
+    Generated mix ids never contain '|', so the split is unambiguous.  A
+    payout address taken from the command line keeps its own bytes.
     """
-    return f"{mix_id}|{payout_address}".encode()
+    return f"{mix_id}|{payout_address}".encode(errors="surrogateescape")
 
 
 class MixPool:

@@ -92,7 +92,7 @@ class PublicParams(_Frozen):
 
 def setup(security_bits: int, curve: CurveParams, h_variant: HashVariant,
           *, insecure_override: bool = False) -> PublicParams:
-    """Validate the curve and fix the hash choices.
+    """Refuse any curve but a built-in one, and fix the hash choices.
 
     The generator-multiple hash variant is refused unless the caller
     explicitly overrides; it exists only for the attack demonstrations.

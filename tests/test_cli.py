@@ -16,6 +16,7 @@ import pytest
 
 import ringmix
 from ringmix import cli
+from ringmix.mixer import withdraw_message
 
 # The directory holding the ringmix package this process imported.  The
 # child gets it on PYTHONPATH as an absolute path, so it runs the same code
@@ -35,6 +36,7 @@ def run_cli(*args, cwd=None, preexec_fn=None):
         [sys.executable, "-m", "ringmix", *args],
         capture_output=True,
         text=True,
+        errors="surrogateescape",  # a non-UTF-8 argument can come back out
         cwd=cwd,
         env=env,
         preexec_fn=preexec_fn,
@@ -557,6 +559,47 @@ def test_seeded_mix_lifecycle_state_bytes_are_pinned(workdir):
     assert hashlib.sha256(state).hexdigest() == LIFECYCLE_STATE_SHA256
 
 
+def test_msg_signs_the_arguments_own_bytes(workdir):
+    # Python hands a non-UTF-8 argument over as a lone surrogate; "\udcff"
+    # here reaches the child as the byte 0xff.
+    make_keys(workdir, ["alice", "bob"])
+    sign = ("--curve", "test-31", "--seed", "3", "sign", "--key", "alice.sk",
+            "--ring", "ring.txt")
+    for text, hex_ in (("\udcff", "ff"), ("\u00e9", "c3a9")):
+        res = run_cli(*sign, "--msg", text, cwd=workdir)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_cli(*sign, "--msg-hex", hex_,
+                                     cwd=workdir).stdout
+        res = run_cli("--curve", "test-31", "verify", "--ring", "ring.txt",
+                      "--msg", text, "--sig", res.stdout.strip(), cwd=workdir)
+        assert (res.returncode, res.stdout) == (0, "ACCEPT\n")
+
+
+def test_a_payout_that_is_not_utf8_is_printed_signed_and_paid(workdir):
+    make_keys(workdir, ["alice", "bob"])
+    base = ("--curve", "test-31", "--state", "st.json", "mix")
+    mix, payout = ("--mix", "mix-0001"), "pay-\udcff"
+    res = run_cli(*base, "message", *mix, "--payout", payout, cwd=workdir)
+    assert (res.returncode, res.stdout) == (0, "mix-0001|pay-\udcff\n")
+    assert withdraw_message("mix-0001", payout) == b"mix-0001|pay-\xff"
+    run_cli(*base, "create", "--denomination", "1", "--capacity", "2",
+            cwd=workdir)
+    for name in ("alice", "bob"):
+        run_cli(*base, "fund", "--account", name, "--amount", "1",
+                cwd=workdir)
+        run_cli(*base, "deposit", *mix, "--pk", f"{name}.pk", "--from", name,
+                cwd=workdir)
+    (workdir / "mixring.txt").write_text(
+        run_cli(*base, "ring", *mix, cwd=workdir).stdout)
+    res = run_cli("--curve", "test-31", "--seed", "5", "sign", "--key",
+                  "alice.sk", "--ring", "mixring.txt", "--msg",
+                  f"mix-0001|{payout}", "--out", "w.hex", cwd=workdir)
+    assert res.returncode == 0, res.stderr
+    res = run_cli(*base, "withdraw", *mix, "--sig", "@w.hex", "--payout",
+                  payout, cwd=workdir)
+    assert (res.returncode, res.stdout) == (0, "ACCEPTED\n")
+
+
 def test_attack_commands(workdir):
     make_keys(workdir, ["alice", "bob", "carol", "dave"])
     insecure = ("--curve", "test-31", "--hash", "insecure-mult-g",
@@ -615,6 +658,11 @@ def _degenerate_key(workdir):
 
 def _deep_state_file(workdir):
     (workdir / "st.json").write_text("[" * 100_000)
+
+
+def _signed(workdir):
+    make_keys(workdir, ["alice", "bob"])
+    assert run_cli(*SIGN, "--out", "sig.hex", cwd=workdir).returncode == 0
 
 
 def _undecodable_ring_file(workdir):
@@ -684,11 +732,29 @@ STATE_ERRORS = {
     "verify-sig-at-without-name": (
         _two_keys, ("--curve", "test-31", "verify", "--ring", "ring.txt",
                     "--msg", "x", "--sig", "@"),
-        "error: no file name after @"),
+        "error: empty file name"),
+    "keygen-out-empty-path": (
+        None, ("--curve", "test-31", "--seed", "1", "keygen", "--out", ""),
+        "error: --out is an empty path"),
+    "sign-key-empty-name": (
+        _two_keys, ("--curve", "test-31", "sign", "--key", "", "--ring",
+                    "ring.txt", "--msg", "x"),
+        "error: empty file name"),
+    "sign-ring-empty-name": (
+        _two_keys, ("--curve", "test-31", "sign", "--key", "alice.sk",
+                    "--ring", "", "--msg", "x"),
+        "error: empty file name"),
+    "tag-reveal-keys-empty-name": (
+        _signed, ("--curve", "test-31", "attack", "tag-reveal", "--ring",
+                  "ring.txt", "--msg", "x", "--sig", "@sig.hex",
+                  "--keys", "alice.sk,"),
+        "error: empty file name"),
 }
 # Rows that must leave the working directory and its parent as they were.
 WRITES_NOTHING = {"state-empty-path", "state-is-a-directory",
-                  "verify-sig-at-without-name"}
+                  "verify-sig-at-without-name", "keygen-out-empty-path",
+                  "sign-key-empty-name", "sign-ring-empty-name",
+                  "tag-reveal-keys-empty-name"}
 
 
 def _listing(path):

@@ -1,11 +1,13 @@
-"""Mutated input files through ``cli.main``: never a traceback.
+"""Mutated input files and messages through ``cli.main``: never a traceback.
 
 Byte flips, truncations, non-hex text and empty files in the ring, key and
 signature files of ``verify``, ``sign``, ``link`` and ``attack
-tag-reveal`` on test-31.  Whatever the mutation, a command ends with exit
-0 to 3 (accept, reject, usage, state or input error), and an exit 3 with
-exactly one line on stderr.  Runs in process, so an exception that is not
-a ``RingmixError`` or an ``OSError`` fails the test with its traceback.
+tag-reveal`` on test-31, each with the valid ``--msg`` or one of arbitrary
+bytes, decoded as Python decodes argv.  Whatever the mutation, a command
+ends with exit 0 to 3 (accept, reject, usage, state or input error), and
+an exit 3 with exactly one line on stderr.  Runs in process, so an
+exception that is not a ``RingmixError`` or an ``OSError`` fails the test
+with its traceback.
 """
 
 import contextlib
@@ -18,16 +20,16 @@ from hypothesis import given, settings, strategies as st
 from ringmix import cli
 
 CURVE = ("--curve", "test-31")
-MSG = ("--msg", "fuzz me")
+MSG = "--msg=fuzz me"  # one token, so a drawn message may start with "-"
 # command -> (its arguments, the input files it reads)
 COMMANDS = {
-    "verify": (("verify", "--ring", "ring.txt", *MSG, "--sig", "@a.sig"),
+    "verify": (("verify", "--ring", "ring.txt", MSG, "--sig", "@a.sig"),
                ("ring.txt", "a.sig")),
     "sign": (("--seed", "3", "sign", "--key", "alice.sk", "--ring",
-              "ring.txt", *MSG), ("ring.txt", "alice.sk")),
-    "link": (("link", "--ring", "ring.txt", *MSG, "--sig1", "@a.sig",
+              "ring.txt", MSG), ("ring.txt", "alice.sk")),
+    "link": (("link", "--ring", "ring.txt", MSG, "--sig1", "@a.sig",
               "--sig2", "@b.sig"), ("ring.txt", "a.sig", "b.sig")),
-    "tag-reveal": (("attack", "tag-reveal", "--ring", "ring.txt", *MSG,
+    "tag-reveal": (("attack", "tag-reveal", "--ring", "ring.txt", MSG,
                     "--sig", "@a.sig", "--keys", "bob.sk,carol.sk"),
                    ("ring.txt", "a.sig", "bob.sk", "carol.sk")),
 }
@@ -59,7 +61,7 @@ def files(tmp_path_factory):
     (workdir / "ring.txt").write_text("".join(pks))
     for seed, (key, sig) in enumerate((("alice", "a"), ("bob", "b")), start=1):
         assert run(workdir, "--seed", str(seed), "sign", "--key", f"{key}.sk",
-                   "--ring", "ring.txt", *MSG, "--out", f"{sig}.sig")[0] == 0
+                   "--ring", "ring.txt", MSG, "--out", f"{sig}.sig")[0] == 0
     for name, (args, _) in COMMANDS.items():
         assert run(workdir, *args)[0] == 0, name
     return workdir, {p.name: p.read_bytes() for p in workdir.iterdir()}
@@ -89,6 +91,9 @@ def test_mutated_inputs_exit_0_to_3_with_one_error_line(files, data):
     for file_name, raw in valid.items():
         (workdir / file_name).write_bytes(raw)
     (workdir / target).write_bytes(mutate(data, valid[target]))
+    msg = data.draw(st.just("fuzz me")
+                    | st.binary(max_size=24).map(os.fsdecode))
+    args = [f"--msg={msg}" if a == MSG else a for a in args]
     rc, _, err = run(workdir, *args)
     assert rc in (0, 1, 2, 3)
     if rc == 3:

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conftest import brute_force_points, brute_force_squares
+from conftest import brute_force_points, brute_force_squares, oracle_xy
 
 from ringmix import (
+    CURVES,
     CurveError,
     CurveParams,
     ModulusMismatchError,
@@ -363,14 +364,26 @@ def test_codec_roundtrip_sampled_secp():
 # parameters
 
 
-def test_builtin_curves_validate(monkeypatch):
-    # The import trusts the built-in parameter sets; this is their check.
-    monkeypatch.setattr(curve_module, "_VALIDATED", set())
-    calls = _count_prime_tests(monkeypatch)
-    for curve in (SECP256K1, TEST_CURVE_31, TEST_CURVE_11):
-        curve.validate()
-    assert calls == [SECP256K1.p, SECP256K1.n, 31, 11]
-    assert len(curve_module._VALIDATED) == 3
+def test_builtin_curves_validate():
+    # The import trusts the pinned parameter sets, and setup() runs no
+    # other, so this is the check that they describe sound groups.
+    assert sorted(CURVES) == ["secp256k1", "test-11", "test-31"]
+    for c in CURVES.values():
+        assert c.p % 4 == 3 and 27 * c.b * c.b % c.p != 0
+        assert (c.gy * c.gy - c.gx ** 3 - c.b) % c.p == 0
+        assert oracle_xy(c.n, c.g) is None
+        c.validate()
+    # The tiny curves: n points, all of them multiples of g.
+    for c in (TEST_CURVE_31, TEST_CURVE_11):
+        assert len(brute_force_points(c)) + 1 == c.n
+        assert all(oracle_xy(k, c.g) is not None for k in range(1, c.n))
+    # secp256k1: p and n pass Fermat tests (a guard against a mistyped
+    # digit), and by Hasse #E < (sqrt(p) + 1)^2 < 2n, so the prime n that
+    # kills g is the order of the whole group.
+    c = SECP256K1
+    assert all(pow(a, m - 1, m) == 1 for a in (2, 3, 5) for m in (c.p, c.n))
+    d = 2 * c.n - c.p - 1
+    assert d > 0 and d * d > 4 * c.p
 
 
 def test_curve_parameters_are_immutable():
@@ -382,87 +395,6 @@ def test_curve_parameters_are_immutable():
                              SECP256K1.n)
 
 
-def test_brute_force_group_orders():
-    assert len(brute_force_points(TEST_CURVE_11)) + 1 == TEST_CURVE_11.n == 12
-    assert len(brute_force_points(TEST_CURVE_31)) + 1 == TEST_CURVE_31.n == 21
-
-
-def test_singular_curve_rejected():
-    bad = CurveParams(curve_id="bad", p=11, b=0, gx=0, gy=0, n=11)
-    with pytest.raises(CurveError):
-        bad.validate()
-    # In characteristic 3, y^2 = x^3 + 1 = (x + 1)^3 has a cusp at (2, 0),
-    # though b != 0; 3 = 3 mod 4, so only the singularity check refuses it.
-    cusp = CurveParams(curve_id="cusp", p=3, b=1, gx=0, gy=1, n=3)
-    with pytest.raises(CurveError, match="singular curve"):
-        cusp.validate()
-
-
-def test_wrong_generator_order_rejected():
-    bad = CurveParams(curve_id="bad-n", p=11, b=7, gx=4, gy=4, n=7)
-    with pytest.raises(CurveError):
-        bad.validate()
-
-
-def test_n_below_the_group_order_rejected():
-    # y^2 = x^3 + 1 over F_11 has 12 points, cyclic; T has order 12 and
-    # g = 2T order 6.  n = 6 passes n*g == 0, but reducing scalars mod 6
-    # would give 7*T == T + 6T as T, not (9, 2).
-    c = CurveParams(curve_id="e11", p=11, b=1, gx=7, gy=5, n=12)
-    c.validate()
-    T = c.g
-    assert 7 * T == Point(c, 9, 2)
-    bad = CurveParams(curve_id="e11-g2T", p=11, b=1, gx=2, gy=8, n=6)
-    assert (6 * Point(bad, 2, 8)).is_infinity
-    with pytest.raises(CurveError, match="the group has 12 points, not n"):
-        bad.validate()
-
-
-def test_n_a_multiple_of_the_order_of_g_rejected():
-    # n = 12 kills every point of that group, but g = 2T has order 6
-    bad = CurveParams(curve_id="e11-g2T", p=11, b=1, gx=2, gy=8, n=12)
-    with pytest.raises(CurveError, match="g has order below n"):
-        bad.validate()
-    # on a large p: n*g == 0 with n = 2 * the prime order of g
-    with pytest.raises(CurveError, match="n is not a prime above"):
-        _secp_copy(curve_id="secp-2n", n=2 * SECP256K1.n).validate()
-
-
-def test_composite_p_rejected():
-    bad = CurveParams(curve_id="bad-p", p=15, b=7, gx=1, gy=0, n=4)
-    with pytest.raises(CurveError):
-        bad.validate()
-    # 1763 = 41 * 43 = 3 mod 4 has no factor up to 37, the trial divisors,
-    # so only the Miller-Rabin rounds can refuse it.
-    assert not any(map(curve_module._is_probable_prime, (0, 1, 1763)))
-    bad = CurveParams(curve_id="bad-p", p=1763, b=7, gx=1, gy=1, n=1764)
-    with pytest.raises(CurveError, match="p is not prime"):
-        bad.validate()
-
-
-def test_p_1_mod_4_rejected():
-    # y^2 = x^3 + 2 over F_13 is a cyclic group of prime order 19 generated
-    # by (1, 4), but 13 = 1 mod 4: no square root here could decode a point
-    # or hash to one, so the set is refused before anything uses it.
-    bad = CurveParams(curve_id="f13", p=13, b=2, gx=1, gy=4, n=19)
-    assert len(brute_force_points(bad)) + 1 == 19
-    with pytest.raises(CurveError, match="p = 3 mod 4 required"):
-        bad.validate()
-    with pytest.raises(CurveError, match="p = 3 mod 4 required"):
-        setup(128, bad, HashVariant.TRY_INCREMENT)
-
-
-def _count_prime_tests(monkeypatch):
-    calls = []
-    real = curve_module._is_probable_prime
-
-    def counting(m):
-        calls.append(m)
-        return real(m)
-    monkeypatch.setattr(curve_module, "_is_probable_prime", counting)
-    return calls
-
-
 def _secp_copy(**changes):
     fields = dict(curve_id="secp256k1", p=SECP256K1.p, b=SECP256K1.b,
                   gx=SECP256K1.gx, gy=SECP256K1.gy, n=SECP256K1.n)
@@ -470,31 +402,55 @@ def _secp_copy(**changes):
     return CurveParams(**fields)
 
 
-def test_validate_runs_once_per_parameter_set(monkeypatch):
-    SECP256K1.validate()
-    calls = _count_prime_tests(monkeypatch)
-    for _ in range(3):
-        setup(128, SECP256K1, HashVariant.FT_DETERMINISTIC)
-    # keyed by value: an equal parameter set built anew is a hit too
-    _secp_copy(curve_id="another-name").validate()
-    assert calls == []
+def _refused(curve):
+    with pytest.raises(CurveError) as err:
+        setup(128, curve, HashVariant.TRY_INCREMENT)
+    assert str(err.value) == f"{curve.curve_id}: not a built-in curve"
 
 
-def test_bad_parameters_are_checked_on_every_call(monkeypatch):
-    calls = _count_prime_tests(monkeypatch)
-    # same curve_id as a validated curve, wrong generator order
-    bad = _secp_copy(n=SECP256K1.n - 2)
-    for attempt in range(1, 4):
-        with pytest.raises(CurveError, match="n\\*g"):
-            bad.validate()
-        assert len(calls) == attempt
-    # a validated object cannot change afterwards, and a changed copy is
-    # checked again in full
-    good = _secp_copy()
-    good.validate()
-    with pytest.raises(AttributeError):
-        good.p = SECP256K1.p + 2
-    assert good == SECP256K1
-    with pytest.raises(CurveError):
-        _secp_copy(p=SECP256K1.p + 2).validate()
-    assert len(calls) == 4
+def test_setup_runs_the_builtin_curves_only():
+    for c in CURVES.values():
+        assert setup(8, c, HashVariant.TRY_INCREMENT).curve is c
+    # An equal copy under its own name is the same curve.  A renamed one
+    # is refused: a ledger records the curve by name and could not load it.
+    copy = setup(128, _secp_copy(), HashVariant.FT_DETERMINISTIC).curve
+    assert copy == SECP256K1 and copy is not SECP256K1
+    _refused(_secp_copy(curve_id="secp256k1-copy"))
+
+
+# Each set below is unsound in the way its test names; setup() refuses it,
+# as it refuses every set outside CURVES, by name.
+
+
+def test_singular_curve_rejected():
+    _refused(CurveParams(curve_id="bad", p=11, b=0, gx=0, gy=0, n=11))
+
+
+def test_wrong_generator_order_rejected():
+    _refused(CurveParams(curve_id="test-11", p=11, b=7, gx=4, gy=4, n=7))
+
+
+def test_n_below_the_group_order_rejected():
+    _refused(_secp_copy(n=SECP256K1.n - 2))
+
+
+def test_n_a_multiple_of_the_order_of_g_rejected():
+    # y^2 = x^3 + 1 over F_11 has 12 points, cyclic; g = (2, 8) has order 6
+    bad = CurveParams(curve_id="e11-g2T", p=11, b=1, gx=2, gy=8, n=12)
+    assert len(brute_force_points(bad)) + 1 == 12
+    assert oracle_xy(6, bad.g) is None
+    _refused(bad)
+
+
+def test_composite_p_rejected():
+    assert pow(2, SECP256K1.p + 1, SECP256K1.p + 2) != 1
+    _refused(_secp_copy(p=SECP256K1.p + 2))
+
+
+def test_p_1_mod_4_rejected():
+    # y^2 = x^3 + 2 over F_13 is a cyclic group of prime order 19 generated
+    # by (1, 4), but 13 = 1 mod 4: no square root here could decode a point
+    # or hash to one.
+    bad = CurveParams(curve_id="f13", p=13, b=2, gx=1, gy=4, n=19)
+    assert len(brute_force_points(bad)) + 1 == 19
+    _refused(bad)

@@ -25,7 +25,6 @@ from ringmix import curve as curve_module
 from ringmix.curve import (
     _GLV,
     _glv_split,
-    _is_probable_prime,
     dual_scalar_mul_batch,
     multi_mul,
 )
@@ -212,7 +211,7 @@ def derive_glv(curve):
     found by extended Euclid on (n, lam) (Guide to ECC, Algorithm 3.74).
     """
     p, n = curve.p, curve.n
-    if p % 3 != 1 or n % 3 != 1 or not _is_probable_prime(n):
+    if p % 3 != 1 or n % 3 != 1 or pow(2, n - 1, n) != 1:
         return None
     beta, lam = _cube_root_of_unity(p), _cube_root_of_unity(n)
     lg = oracle_mul(lam, curve.g)
