@@ -395,6 +395,11 @@ def test_curve_parameters_are_immutable():
                              SECP256K1.n)
 
 
+def test_brute_force_group_orders():
+    assert len(brute_force_points(TEST_CURVE_11)) + 1 == TEST_CURVE_11.n == 12
+    assert len(brute_force_points(TEST_CURVE_31)) + 1 == TEST_CURVE_31.n == 21
+
+
 def _secp_copy(**changes):
     fields = dict(curve_id="secp256k1", p=SECP256K1.p, b=SECP256K1.b,
                   gx=SECP256K1.gx, gy=SECP256K1.gy, n=SECP256K1.n)
