@@ -319,14 +319,11 @@ class Point(_Frozen):
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def _same_curve(self, other: "Point") -> None:
+    def __add__(self, other: "Point") -> "Point":
         if not isinstance(other, Point):
             raise TypeError(f"expected Point, got {type(other).__name__}")
         if self.curve != other.curve:
             raise CurveError("points on different curves")
-
-    def __add__(self, other: "Point") -> "Point":
-        self._same_curve(other)
         p = self.curve.p
         J = None if self.is_infinity else (self.x, self.y, 1)
         Q = None if other.is_infinity else (other.x, other.y)

@@ -235,33 +235,30 @@ def ring_message_point(pp: PublicParams, msg: bytes, ring: Ring) -> Point:
     return hash_to_curve(ring_message_bytes(msg, ring), pp.curve, pp.h_variant)
 
 
-def _challenge(curve: CurveParams, label: bytes, points) -> Scalar:
-    """H' over label (with any context bytes) and the points, each at the
-    fixed transcript width: infinity pads, so boundaries cannot shift."""
-    pad = b"\x00" * (1 + curve.field_bytes)
-    parts = [label]
-    parts.extend(pad if P.is_infinity else P.encode() for P in points)
-    return hash_to_scalar(b"".join(parts), curve)
+def _challenge(g: Point, h: Point, label: bytes, lead, pairs, cs, ts) -> Scalar:
+    """H' over label, the lead points, then a_1, b_1, ..., a_n, b_n, where
+    a_j = t_j*g + c_j*y_j and b_j = t_j*h + c_j*z_j for each (y_j, z_j).
 
-
-def _ring_challenge(curve: CurveParams, msg: bytes, ring: Ring,
-                    a_pts: list[Point], b_pts: list[Point]) -> Scalar:
-    return _challenge(curve, b"urs-ring" + ring_message_bytes(msg, ring),
-                      [P for ab in zip(a_pts, b_pts) for P in ab])
-
-
-def _commitments(g: Point, h: Point, pairs, cs, ts) -> tuple[list[Point], list[Point]]:
-    """a_j = t_j*g + c_j*y_j and b_j = t_j*h + c_j*z_j for each (y_j, z_j).
-
-    One OR-composed equal-discrete-log commitment per pair, all in one
-    batch.  A slot with (c, t) = (0, r) is an honest commitment (r*g, r*h).
+    One OR-composed equal-discrete-log commitment per pair, all in one batch
+    that returns them in transcript order; a slot with (c, t) = (0, r) is an
+    honest commitment (r*g, r*h).  Every point takes the fixed transcript
+    width (infinity pads), so boundaries cannot shift.
     """
     jobs = []
     for (y, z), c, t in zip(pairs, cs, ts):
         jobs.append((t, g, c, y))
         jobs.append((t, h, c, z))
-    results = dual_scalar_mul_batch(jobs)
-    return results[0::2], results[1::2]
+    pad = b"\x00" * (1 + g.curve.field_bytes)
+    parts = [label]
+    parts.extend(pad if P.is_infinity else P.encode()
+                 for P in (*lead, *dual_scalar_mul_batch(jobs)))
+    return hash_to_scalar(b"".join(parts), g.curve)
+
+
+def _ring_challenge(g: Point, h: Point, msg: bytes, ring: Ring, tau: Point,
+                    cs, ts) -> Scalar:
+    return _challenge(g, h, b"urs-ring" + ring_message_bytes(msg, ring), (),
+                      [(y, tau) for y in ring], cs, ts)
 
 
 def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Signature:
@@ -294,10 +291,9 @@ def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Sign
             ts[j] = curve.scalar(rng.randrange(curve.n))
             cs[j] = curve.scalar(rng.randrange(curve.n))
     r = ts[i] = curve.scalar(rng.randrange(curve.n))
-    a_pts, b_pts = _commitments(g, h, [(y, tau_point) for y in ring], cs, ts)
 
     # cs[i] is still zero, so subtracting the sum leaves the closing c_i.
-    c_i = _ring_challenge(curve, msg, ring, a_pts, b_pts) - sum(cs, zero)
+    c_i = _ring_challenge(g, h, msg, ring, tau_point, cs, ts) - sum(cs, zero)
     cs[i] = c_i
     ts[i] = r - c_i * sk
 
@@ -330,11 +326,8 @@ def ring_verify(pp: PublicParams, ring: Ring, msg: bytes, sig: Signature) -> boo
         return False
 
     h = ring_message_point(pp, msg, ring)
-    a_pts, b_pts = _commitments(
-        curve.g, h, [(y, tau) for y in ring], sig.cs, sig.ts
-    )
     total = sum(sig.cs, curve.scalar(0))
-    return total == _ring_challenge(curve, msg, ring, a_pts, b_pts)
+    return total == _ring_challenge(curve.g, h, msg, ring, tau, sig.cs, sig.ts)
 
 
 def link(s1: Signature, s2: Signature) -> LinkResult:
@@ -363,7 +356,6 @@ class DleqProof(_Frozen):
 
 def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
     """Prove log_g1(x*g1) = log_g2(x*g2) without revealing x."""
-    g1._same_curve(g2)
     curve = g1.curve
     if g1.is_infinity or g2.is_infinity:
         raise UrsError("generators must not be the identity")
@@ -373,21 +365,16 @@ def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
         raise UrsError("zero witness is degenerate")
     r = curve.scalar(rng.randrange(curve.n))
     y1, y2 = x * g1, x * g2
-    (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [0], [r])
-    c = _challenge(curve, b"urs-dleq", (g1, g2, y1, y2, a, b))
+    c = _challenge(g1, g2, b"urs-dleq", (g1, g2, y1, y2), [(y1, y2)], [0], [r])
     return DleqProof(c=c, t=r - c * x)
 
 
 def dleq_verify(y1: Point, y2: Point, g1: Point, g2: Point,
                 proof: DleqProof) -> bool:
-    g1._same_curve(g2)
-    g1._same_curve(y1)
-    g1._same_curve(y2)
-    curve = g1.curve
     if g1.is_infinity or g2.is_infinity:
         return False
-    (a,), (b,) = _commitments(g1, g2, [(y1, y2)], [proof.c], [proof.t])
-    return proof.c == _challenge(curve, b"urs-dleq", (g1, g2, y1, y2, a, b))
+    return proof.c == _challenge(g1, g2, b"urs-dleq", (g1, g2, y1, y2),
+                                 [(y1, y2)], [proof.c], [proof.t])
 
 
 # ---------------------------------------------------------------------------

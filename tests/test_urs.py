@@ -326,25 +326,17 @@ def test_wrong_modulus_reduction_breaks_completeness(pp31):
         i = ring.index_of(sk * g)
         h = ring_message_point(pp31, msg, ring)
         tau = sk * h
-        size = len(ring)
-        cs, ts = [None] * size, [None] * size
-        a_pts, b_pts = [None] * size, [None] * size
-        for j, y_j in enumerate(ring):
-            if j == i:
-                continue
-            t_j = curve.scalar(rng.randrange(curve.n))
-            c_j = curve.scalar(rng.randrange(curve.n))
-            a_pts[j] = (t_j.value * g) + (c_j.value * y_j)
-            b_pts[j] = (t_j.value * h) + (c_j.value * tau)
-            cs[j], ts[j] = c_j, t_j
+        zero = curve.scalar(0)
+        cs, ts = [zero] * len(ring), [zero] * len(ring)
+        for j in range(len(ring)):
+            if j != i:
+                ts[j] = curve.scalar(rng.randrange(curve.n))
+                cs[j] = curve.scalar(rng.randrange(curve.n))
         r = rng.randrange(curve.n)
-        a_pts[i], b_pts[i] = r * g, r * h
+        ts[i] = curve.scalar(r)  # with cs[i] = 0, the honest (r*g, r*h)
         from ringmix.urs import _ring_challenge
 
-        c_i = _ring_challenge(curve, msg, ring, a_pts, b_pts)
-        for j in range(size):
-            if j != i:
-                c_i = c_i - cs[j]
+        c_i = _ring_challenge(g, h, msg, ring, tau, cs, ts) - sum(cs, zero)
         cs[i] = c_i
         wrong_t = (r - c_i.value * sk.value) % curve.p  # the bug: mod p
         ts[i] = curve.scalar(wrong_t)
