@@ -459,6 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # An argument that is not UTF-8 arrives surrogate-escaped, and prints
+    # back as its own bytes even where stdout would refuse it.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="surrogateescape")
     # The one place a failure becomes exit 3.  Any other exception is a
     # bug and keeps its traceback.
     args = build_parser().parse_args(argv)

@@ -91,8 +91,8 @@ def oracle_xy(k, P):
 
 
 def brute_force_points(curve):
-    """Every affine point by scanning the full (x, y) grid; the infinity
-    point is appended.  Independent of the package's point logic."""
+    """Every affine point by scanning the full (x, y) grid; the point at
+    infinity is not among them.  Independent of the package's point logic."""
     pts = []
     for x in range(curve.p):
         for y in range(curve.p):

@@ -600,6 +600,23 @@ def test_a_payout_that_is_not_utf8_is_printed_signed_and_paid(workdir):
     assert (res.returncode, res.stdout) == (0, "ACCEPTED\n")
 
 
+def test_non_utf8_arguments_print_on_a_strict_stdout(workdir):
+    # Outside UTF-8 mode, a UTF-8 locale gives stdout strict errors.
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
+    )
+    base = [sys.executable, "-X", "utf8=0", "-m", "ringmix", "--curve",
+            "test-31", "--state", "st.json", "mix"]
+    for args, out in ((["fund", "--account", b"\xff", "--amount", "3"],
+                       b"\xff 3\n"),
+                      (["message", "--mix", "mix-0001", "--payout", b"\xff"],
+                       b"mix-0001|\xff\n")):
+        res = subprocess.run(base + args, capture_output=True, cwd=workdir,
+                             env=env)
+        assert (res.returncode, res.stdout, res.stderr) == (0, out, b"")
+
+
 def test_attack_commands(workdir):
     make_keys(workdir, ["alice", "bob", "carol", "dave"])
     insecure = ("--curve", "test-31", "--hash", "insecure-mult-g",

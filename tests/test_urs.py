@@ -17,6 +17,7 @@ import pytest
 from conftest import affine_add, distinct_keys, oracle_xy
 
 from ringmix import (
+    CurveError,
     DleqProof,
     HashVariant,
     InsecureVariantError,
@@ -272,19 +273,37 @@ def test_verify_rejects_wrong_structure(pp31):
     assert not ring_verify(pp31, ring, b"s", other_curve)
 
 
-def test_challenge_sum_matches_independent_transcript_oracle(pp31):
-    """Rebuild the verification sum from scratch: the affine oracle's point
-    arithmetic, local transcript serialization, local hash.  Pins the
-    wire-level challenge contract, not just internal consistency."""
+def _oracle_challenge(pp, msg, ring, sig):
+    """The urs-ring challenge rebuilt from scratch: the affine oracle's
+    point arithmetic, local transcript serialization, local hash."""
+    curve = pp.curve
+    width = curve.field_bytes
 
-    def compress(P, width):
+    def compress(P):
         if P is None:
             return b"\x00" * (1 + width)
         x, y = P
         return bytes([0x02 | (y & 1)]) + x.to_bytes(width, "big")
 
-    curve = pp31.curve
-    width = curve.field_bytes
+    h = ring_message_point(pp, msg, ring)
+    tau = sig.tau.point
+    transcript = [b"urs-ring", len(msg).to_bytes(8, "big"), msg,
+                  ring.canonical_bytes]
+    for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
+        a_j = affine_add(curve, oracle_xy(t_j.value, curve.g),
+                         oracle_xy(c_j.value, y_j))
+        b_j = affine_add(curve, oracle_xy(t_j.value, h),
+                         oracle_xy(c_j.value, tau))
+        transcript.append(compress(a_j))
+        transcript.append(compress(b_j))
+    # the to-scalar domain tag 0x02, then the zero counter byte
+    raw = hashlib.sha256(b"\x02\x00" + b"".join(transcript)).digest()
+    return int.from_bytes(raw, "big") % curve.n
+
+
+def test_challenge_sum_matches_independent_transcript_oracle(pp31):
+    """Pins the wire-level challenge contract, not just internal
+    consistency."""
     # A challenge mod 21 matches a wrong transcript 1 time in 21, so one
     # seed alone proves little: seed 1 also matched the transcript without
     # its zero counter byte, and seeds 3 and 4 do not.
@@ -295,36 +314,34 @@ def test_challenge_sum_matches_independent_transcript_oracle(pp31):
         msg = b"oracle-check"
         sig = ring_sign(pp31, keys[1].sk, ring, msg, rng)
         assert ring_verify(pp31, ring, msg, sig)
-
-        h = ring_message_point(pp31, msg, ring)
-        tau = sig.tau.point
-
-        transcript = [b"urs-ring", len(msg).to_bytes(8, "big"), msg,
-                      ring.canonical_bytes]
-        for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
-            a_j = affine_add(curve, oracle_xy(t_j.value, curve.g),
-                             oracle_xy(c_j.value, y_j))
-            b_j = affine_add(curve, oracle_xy(t_j.value, h),
-                             oracle_xy(c_j.value, tau))
-            transcript.append(compress(a_j, width))
-            transcript.append(compress(b_j, width))
-        # the to-scalar domain tag 0x02, then the zero counter byte
-        raw = hashlib.sha256(b"\x02\x00" + b"".join(transcript)).digest()
-        expected = int.from_bytes(raw, "big") % curve.n
-
-        assert sum(c.value for c in sig.cs) % curve.n == expected
+        assert (sum(c.value for c in sig.cs) % pp31.curve.n
+                == _oracle_challenge(pp31, msg, ring, sig))
 
 
-def test_wrong_modulus_reduction_breaks_completeness(pp31):
+def test_challenge_sum_matches_transcript_oracle_on_secp256k1(pp_secp):
+    # A wrong transcript matches here with probability about 2^-256.
+    rng = random.Random(5)
+    keys = [ring_gen(pp_secp, rng) for _ in range(4)]
+    ring = canonical_ring([k.pk for k in keys])
+    msg = b"oracle-check"
+    sig = ring_sign(pp_secp, keys[1].sk, ring, msg, rng)
+    assert ring_verify(pp_secp, ring, msg, sig)
+    assert (sum(c.value for c in sig.cs) % pp_secp.curve.n
+            == _oracle_challenge(pp_secp, msg, ring, sig))
+
+
+def test_wrong_modulus_reduction_breaks_completeness(pp_secp):
     """A signer that reduces its closing response mod p instead of mod n
-    stops verifying (p=31, n=21 here).  Mirrors the one-line bug the Scalar
-    type exists to prevent."""
-    curve = pp31.curve
+    stops verifying.  Mirrors the one-line bug the Scalar type exists to
+    prevent.  p != n on secp256k1 as well, and there a bad signature
+    verifies by chance with probability about 2^-256; on test-31 it would
+    verify 1 time in 21, whatever the bug."""
+    curve = pp_secp.curve
     g = curve.g
 
     def sign_with_wrong_modulus(sk, ring, msg, rng):
         i = ring.index_of(sk * g)
-        h = ring_message_point(pp31, msg, ring)
+        h = ring_message_point(pp_secp, msg, ring)
         tau = sk * h
         zero = curve.scalar(0)
         cs, ts = [zero] * len(ring), [zero] * len(ring)
@@ -349,17 +366,14 @@ def test_wrong_modulus_reduction_breaks_completeness(pp31):
     mismatch_rejections = 0
     mismatches = 0
     for trial in range(20):
-        keys = distinct_keys(pp31, rng, 4)
+        keys = [ring_gen(pp_secp, rng) for _ in range(4)]
         ring = canonical_ring([k.pk for k in keys])
         msg = f"wrongmod-{trial}".encode()
-        try:
-            sig, coincides = sign_with_wrong_modulus(keys[0].sk, ring, msg, rng)
-        except UrsError:
-            continue
+        sig, coincides = sign_with_wrong_modulus(keys[0].sk, ring, msg, rng)
         if coincides:
             continue  # mod-p and mod-n reductions agree by chance, no signal
         mismatches += 1
-        if not ring_verify(pp31, ring, msg, sig):
+        if not ring_verify(pp_secp, ring, msg, sig):
             mismatch_rejections += 1
     assert mismatches >= 10
     assert mismatch_rejections == mismatches
@@ -640,6 +654,59 @@ def test_dleq_infinity_generator_rejected(pp31):
     with pytest.raises(UrsError):
         dleq_prove(three, g, inf, random.Random(0))
     assert not dleq_verify(three * g, inf, g, inf, DleqProof(three, three))
+
+
+@pytest.mark.parametrize("foreign", ["g1", "g2", "y1", "y2"])
+def test_dleq_verify_refuses_a_point_on_another_curve(pp31, dleq_bases, foreign):
+    g1, g2 = dleq_bases
+    x = pp31.curve.scalar(5)
+    proof = dleq_prove(x, g1, g2, random.Random(0))
+    points = {"g1": g1, "g2": g2, "y1": x * g1, "y2": x * g2}
+    points[foreign] = SECP256K1.g
+    with pytest.raises(CurveError):
+        dleq_verify(points["y1"], points["y2"], points["g1"], points["g2"],
+                    proof)
+
+
+def test_dleq_prove_refuses_a_generator_on_another_curve(pp31):
+    with pytest.raises(CurveError):
+        dleq_prove(pp31.curve.scalar(5), pp31.curve.g, SECP256K1.g,
+                   random.Random(0))
+
+
+def test_challenges_go_through_the_module_globals(pp_secp, monkeypatch):
+    """The benchmark times its curve.batch and hashing.h2s spans by
+    wrapping urs.dual_scalar_mul_batch and urs.hash_to_scalar, so each
+    challenge must make exactly one call to each through those names."""
+    from ringmix import urs
+
+    calls = []
+    batch, h2s = urs.dual_scalar_mul_batch, urs.hash_to_scalar
+
+    def counting_batch(jobs):
+        calls.append(("batch", len(jobs)))
+        return batch(jobs)
+
+    def counting_h2s(data, curve):
+        calls.append(("h2s", len(data)))
+        return h2s(data, curve)
+
+    rng = random.Random(14)
+    keys = [ring_gen(pp_secp, rng) for _ in range(4)]
+    ring = canonical_ring([k.pk for k in keys])
+    sig = ring_sign(pp_secp, keys[0].sk, ring, b"spans", rng)
+    monkeypatch.setattr(urs, "dual_scalar_mul_batch", counting_batch)
+    monkeypatch.setattr(urs, "hash_to_scalar", counting_h2s)
+    assert ring_verify(pp_secp, ring, b"spans", sig)
+    assert [kind for kind, _ in calls] == ["batch", "h2s"]
+    assert calls[0][1] == 8
+
+    calls.clear()
+    g = pp_secp.curve.g
+    x = pp_secp.curve.scalar(5)
+    assert dleq_verify(x * g, x * (3 * g), g, 3 * g,
+                       dleq_prove(x, g, 3 * g, rng))
+    assert calls == [("batch", 2), ("h2s", 8 + 6 * 33)] * 2
 
 
 # ---------------------------------------------------------------------------
