@@ -27,9 +27,11 @@ big-endian), or that many zero bytes for infinity.
 
 * ``urs-ring`` (ring signatures): the 8 ASCII bytes ``urs-ring``, the
   8-byte big-endian message length, the message, the ring's canonical
-  bytes (the members' compressed encodings in sorted order), then the
-  points a_1, b_1, a_2, b_2, ..., a_n, b_n, where a_j = t_j*g + c_j*y_j
-  and b_j = t_j*H(m || R) + c_j*tau.
+  bytes (the members' compressed encodings in sorted order), the tag tau,
+  then the points a_1, b_1, a_2, b_2, ..., a_n, b_n, where
+  a_j = t_j*g + c_j*y_j and b_j = t_j*H(m || R) + c_j*tau.  The whole
+  statement (m, R, tau) is hashed, so no signer can choose tau after
+  seeing the challenge.
 * ``urs-dleq`` (equal-discrete-log proofs): the 8 ASCII bytes
   ``urs-dleq``, then the six points g1, g2, y1, y2, a, b, where
   a = t*g1 + c*y1 and b = t*g2 + c*y2.
@@ -257,8 +259,8 @@ def _challenge(g: Point, h: Point, label: bytes, lead, pairs, cs, ts) -> Scalar:
 
 def _ring_challenge(g: Point, h: Point, msg: bytes, ring: Ring, tau: Point,
                     cs, ts) -> Scalar:
-    return _challenge(g, h, b"urs-ring" + ring_message_bytes(msg, ring), (),
-                      [(y, tau) for y in ring], cs, ts)
+    label = b"urs-ring" + ring_message_bytes(msg, ring)
+    return _challenge(g, h, label, (tau,), [(y, tau) for y in ring], cs, ts)
 
 
 def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Signature:

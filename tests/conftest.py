@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,11 +6,16 @@ import pytest
 from ringmix import (
     HashVariant,
     SECP256K1,
+    Signature,
+    Tag,
     TEST_CURVE_31,
     ring_gen,
+    ring_message_bytes,
+    ring_message_point,
     setup,
 )
 from ringmix import curve
+from ringmix.hashing import hash_to_scalar
 
 
 @pytest.fixture
@@ -58,6 +64,41 @@ def distinct_keys(pp, rng, count):
             seen.add(pair.pk)
             keys.append(pair)
     return keys
+
+
+def forge_fresh_tag(pp, sk, ring, msg, s, rng):
+    """A signature under a tag of the forger's choosing, made by the member
+    who holds sk against the urs-ring transcript without tau.
+
+    Every other c_j is 0, so a_j = t_j*g and b_j = t_j*h do not involve
+    tau.  The forger commits a_i = r*g and b_i = s*h, hashes to get c, and
+    only then solves tau = sk*h + ((s - r)/c)*h, which meets every verify
+    equation for that c.  Returns (signature, c), or None when s = r, c is
+    not invertible mod n, or tau is the identity (the last two only on a
+    composite n).
+    """
+    g, n = pp.curve.g, pp.curve.n
+    i = ring.index_of(sk * g)
+    h = ring_message_point(pp, msg, ring)
+    ts = [rng.randrange(n) for _ in ring]
+    r = ts[i]
+    points = [(t * g, t * h) for t in ts]
+    points[i] = (r * g, s * h)
+    pad = b"\x00" * (1 + pp.curve.field_bytes)
+    transcript = b"urs-ring" + ring_message_bytes(msg, ring) + b"".join(
+        pad if P.is_infinity else P.encode() for ab in points for P in ab)
+    c = hash_to_scalar(transcript, pp.curve).value
+    if (s - r) % n == 0 or math.gcd(c, n) != 1:
+        return None
+    tau = sk * h + ((s - r) * pow(c, -1, n)) * h
+    if tau.is_infinity:
+        return None
+    cs = [0] * len(ring)
+    cs[i], ts[i] = c, r - c * sk.value
+    sig = Signature(Tag(tau), tuple(map(pp.curve.scalar, cs)),
+                    tuple(map(pp.curve.scalar, ts)), ring.digest,
+                    curve.digest(msg))
+    return sig, c
 
 
 def affine_add(curve, A, B):

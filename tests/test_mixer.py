@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import distinct_keys
+from conftest import distinct_keys, forge_fresh_tag
 
 import ringmix.mixer as mixer_module
 
@@ -1035,6 +1035,21 @@ def test_fuzz_interleavings_tiny_curve(pp31):
                 mixer.check_conservation(check_id)
     if replay_attempts:
         assert lucky_replays / replay_attempts < 0.2
+
+
+def test_a_member_cannot_withdraw_again_under_a_forged_tag(pp_secp):
+    rng = random.Random(17)
+    mixer = Mixer(pp_secp)
+    mix_id, keys = fill_pool(pp_secp, mixer, rng)
+    st = withdraw_as(pp_secp, mixer, mix_id, keys[0], "payee", rng)
+    assert st is WithdrawStatus.ACCEPTED
+    msg = withdraw_message(mix_id, "payee")
+    sig, _ = forge_fresh_tag(pp_secp, keys[0].sk, mixer.mix_ring(mix_id),
+                             msg, 2, rng)
+    st = mixer.mix_withdraw(mix_id, encode_signature(sig), "payee")
+    assert st is WithdrawStatus.BAD_SIGNATURE
+    assert mixer.balance("payee") == 1
+    mixer.check_conservation(mix_id)
 
 
 def test_fuzz_statuses_make_sense_secp(pp_secp):

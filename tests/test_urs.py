@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import affine_add, distinct_keys, oracle_xy
+from conftest import affine_add, distinct_keys, forge_fresh_tag, oracle_xy
 
 from ringmix import (
     CurveError,
@@ -288,7 +288,7 @@ def _oracle_challenge(pp, msg, ring, sig):
     h = ring_message_point(pp, msg, ring)
     tau = sig.tau.point
     transcript = [b"urs-ring", len(msg).to_bytes(8, "big"), msg,
-                  ring.canonical_bytes]
+                  ring.canonical_bytes, compress((tau.x, tau.y))]
     for c_j, t_j, y_j in zip(sig.cs, sig.ts, ring):
         a_j = affine_add(curve, oracle_xy(t_j.value, curve.g),
                          oracle_xy(c_j.value, y_j))
@@ -377,6 +377,43 @@ def test_wrong_modulus_reduction_breaks_completeness(pp_secp):
             mismatch_rejections += 1
     assert mismatches >= 10
     assert mismatch_rejections == mismatches
+
+
+def test_a_member_cannot_forge_a_fresh_tag_on_secp256k1(pp_secp):
+    # Accepted for every s while tau was left out of the challenge.
+    rng = random.Random(15)
+    keys = [ring_gen(pp_secp, rng) for _ in range(4)]
+    ring = canonical_ring([k.pk for k in keys])
+    tags = {ring_sign(pp_secp, keys[2].sk, ring, b"forge", rng).tau}
+    for s in range(1, 8):
+        sig, c = forge_fresh_tag(pp_secp, keys[2].sk, ring, b"forge", s, rng)
+        assert sum(c_j.value for c_j in sig.cs) == c
+        tags.add(sig.tau)
+        assert not ring_verify(pp_secp, ring, b"forge", sig)
+    assert len(tags) == 8  # each forgery carries a fresh tag
+
+
+def test_a_member_cannot_forge_a_fresh_tag_on_test_31(pp31):
+    """With n = 21 a forgery still verifies whenever the challenge over
+    the whole statement happens to equal the forger's c, about 1 time in
+    21.  So each verdict must be exactly that coincidence, and the
+    coincidences must stay rare."""
+    rng = random.Random(16)
+    keys = distinct_keys(pp31, rng, 4)
+    ring = canonical_ring([k.pk for k in keys])
+    forged = accepted = 0
+    for s in range(1, 100):
+        msg = f"forge-{s}".encode()
+        made = forge_fresh_tag(pp31, keys[1].sk, ring, msg, s, rng)
+        if made is None:
+            continue
+        sig, c = made
+        verdict = ring_verify(pp31, ring, msg, sig)
+        assert verdict == (c == _oracle_challenge(pp31, msg, ring, sig))
+        forged += 1
+        accepted += verdict
+    assert forged >= 40
+    assert accepted <= forged // 5
 
 
 def test_permutation_symmetry(pp31):
@@ -698,8 +735,8 @@ def test_challenges_go_through_the_module_globals(pp_secp, monkeypatch):
     monkeypatch.setattr(urs, "dual_scalar_mul_batch", counting_batch)
     monkeypatch.setattr(urs, "hash_to_scalar", counting_h2s)
     assert ring_verify(pp_secp, ring, b"spans", sig)
-    assert [kind for kind, _ in calls] == ["batch", "h2s"]
-    assert calls[0][1] == 8
+    # label, message length, message, ring, tau, then a_1, b_1, ..., b_4
+    assert calls == [("batch", 8), ("h2s", 8 + 8 + 5 + 4 * 33 + 33 + 8 * 33)]
 
     calls.clear()
     g = pp_secp.curve.g
@@ -729,14 +766,15 @@ def test_ring_message_bytes_layout(pp31):
 def test_seeded_signature_and_dleq_bytes_are_pinned():
     """Seeded signatures and DLEQ proofs keep their exact bytes.
 
-    The values were produced before the sign, verify and DLEQ commitments
-    shared one builder; they fix the rng draw order (t_j then c_j for every
-    non-signer j in ring order, then r) and the transcript layout.
+    They fix the rng draw order (t_j then c_j for every non-signer j in
+    ring order, then r) and the transcript layout.  The signature values
+    were re-derived when tau joined the urs-ring transcript; the DLEQ
+    value predates that and did not move.
     """
     cases = [
-        (SECP256K1, HashVariant.FT_DETERMINISTIC, "c335554982887d65"),
-        (SECP256K1, HashVariant.TRY_INCREMENT, "81c98e72a45b2376"),
-        (TEST_CURVE_31, HashVariant.FT_DETERMINISTIC, "5bf418d0e87149ec"),
+        (SECP256K1, HashVariant.FT_DETERMINISTIC, "76a45948d2c9a7d1"),
+        (SECP256K1, HashVariant.TRY_INCREMENT, "2d1553ddeb84986c"),
+        (TEST_CURVE_31, HashVariant.FT_DETERMINISTIC, "a3cf9ac61b41fc1c"),
     ]
     for curve, variant, expected in cases:
         pp = setup(128, curve, variant)
