@@ -369,7 +369,89 @@ def _ring_sizes(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _context(p) -> None:
+    # --ring and exactly one message flag, for every command that works in
+    # a (message, ring) context.
+    p.add_argument("--ring", required=True, help="file of hex public keys")
+    message = p.add_mutually_exclusive_group(required=True)
+    message.add_argument("--msg")
+    message.add_argument("--msg-hex")
+
+
+_REQUIRED = {"required": True}
+_INT = {"required": True, "type": int}
+
+# name: (its line in the --help listing, or None for no line; the function
+# that runs it; its options).  Options are a list, each _context or a flag
+# with its add_argument keywords, or else a table of subcommands of their
+# own, name: options.
+_COMMANDS = {
+    "keygen": ("write <out>.sk and <out>.pk", cmd_keygen,
+               [("--out", _REQUIRED)]),
+    "sign": (None, cmd_sign,
+             [_context, ("--key", {**_REQUIRED, "help": "secret key file"}),
+              ("--out", {})]),
+    "verify": (None, cmd_verify,
+               [_context, ("--sig", {**_REQUIRED, "help": "hex or @file"})]),
+    "link": (None, cmd_link,
+             [_context, ("--sig1", _REQUIRED), ("--sig2", _REQUIRED)]),
+    "mix": ("pool lifecycle against the state file", cmd_mix, {
+        "create": [("--denomination", _INT), ("--capacity", _INT)],
+        "fund": [("--account", _REQUIRED), ("--amount", _INT)],
+        "deposit": [("--mix", _REQUIRED),
+                    ("--pk", {**_REQUIRED, "help": "hex public key or file"}),
+                    ("--from", _REQUIRED)],
+        "ring": [("--mix", _REQUIRED)],
+        "message": [("--mix", _REQUIRED), ("--payout", _REQUIRED)],
+        "withdraw": [("--mix", _REQUIRED), ("--sig", _REQUIRED),
+                     ("--payout", _REQUIRED)],
+        "status": [("--mix", _REQUIRED)],
+    }),
+    "attack": ("run a deanonymization demo", cmd_attack, {
+        "naive-hash": [_context, ("--sig", _REQUIRED)],
+        "tag-reveal": [_context, ("--sig", _REQUIRED),
+                       ("--keys", {**_REQUIRED, "help":
+                                   "comma-separated secret key files"})],
+    }),
+    "bench": ("sign/verify/keygen timings and sizes", cmd_bench,
+              [("--sizes", {"type": _ring_sizes, "help":
+                            "comma-separated ring sizes, each at least 2; "
+                            "default 2,4,8,16,32,64, leaving out any larger "
+                            "than the curve's n - 1 keys"})]),
+}
+
+
+def _add_commands(sub, argv: list[str], table: dict) -> None:
+    """Register every subcommand of ``table``; build those argv names.
+
+    argparse picks a subcommand by its exact name, so one that argv does
+    not name can never be chosen.  It is registered by name and help
+    alone, which is all the --help listing and "invalid choice" read.
+    """
+    for name, entry in table.items():
+        help_, func, options = entry if type(entry) is tuple else (
+            None, None, entry)
+        kwargs = {} if help_ is None else {"help": help_}
+        if name not in argv:
+            sub.add_parser(name, add_help=False, **kwargs)
+            continue
+        p = sub.add_parser(name, **kwargs)
+        if func is not None:
+            p.set_defaults(func=func)
+        if type(options) is dict:
+            _add_commands(p.add_subparsers(dest=f"{name}_cmd", required=True),
+                          argv, options)
+            continue
+        for option in options:
+            if option is _context:
+                _context(p)
+            else:
+                p.add_argument(option[0], **option[1])
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``, built in full only for the subcommands
+    whose names are tokens of it."""
     parser = argparse.ArgumentParser(
         prog="ringmix",
         description="Unique ring signatures and a simulated mixing contract.",
@@ -386,75 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mix ledger state file")
     parser.add_argument("--seed", type=int, default=None,
                         help="tests only: keys and signatures follow from the seed")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # --ring and exactly one message flag, for every command that works in
-    # a (message, ring) context.
-    context = argparse.ArgumentParser(add_help=False)
-    context.add_argument("--ring", required=True, help="file of hex public keys")
-    message = context.add_mutually_exclusive_group(required=True)
-    message.add_argument("--msg")
-    message.add_argument("--msg-hex")
-
-    p = sub.add_parser("keygen", help="write <out>.sk and <out>.pk")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_keygen)
-
-    for name, func in (("sign", cmd_sign), ("verify", cmd_verify),
-                       ("link", cmd_link)):
-        p = sub.add_parser(name, parents=[context])
-        if name == "sign":
-            p.add_argument("--key", required=True, help="secret key file")
-            p.add_argument("--out")
-        elif name == "verify":
-            p.add_argument("--sig", required=True, help="hex or @file")
-        else:
-            p.add_argument("--sig1", required=True)
-            p.add_argument("--sig2", required=True)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("mix", help="pool lifecycle against the state file")
-    mix_sub = p.add_subparsers(dest="mix_cmd", required=True)
-    q = mix_sub.add_parser("create")
-    q.add_argument("--denomination", type=int, required=True)
-    q.add_argument("--capacity", type=int, required=True)
-    q = mix_sub.add_parser("fund")
-    q.add_argument("--account", required=True)
-    q.add_argument("--amount", type=int, required=True)
-    q = mix_sub.add_parser("deposit")
-    q.add_argument("--mix", required=True)
-    q.add_argument("--pk", required=True, help="hex public key or file")
-    q.add_argument("--from", required=True, dest="from")
-    q = mix_sub.add_parser("ring")
-    q.add_argument("--mix", required=True)
-    q = mix_sub.add_parser("message")
-    q.add_argument("--mix", required=True)
-    q.add_argument("--payout", required=True)
-    q = mix_sub.add_parser("withdraw")
-    q.add_argument("--mix", required=True)
-    q.add_argument("--sig", required=True)
-    q.add_argument("--payout", required=True)
-    q = mix_sub.add_parser("status")
-    q.add_argument("--mix", required=True)
-    p.set_defaults(func=cmd_mix)
-
-    p = sub.add_parser("attack", help="run a deanonymization demo")
-    attack_sub = p.add_subparsers(dest="attack_cmd", required=True)
-    for name in ("naive-hash", "tag-reveal"):
-        q = attack_sub.add_parser(name, parents=[context])
-        q.add_argument("--sig", required=True)
-        if name == "tag-reveal":
-            q.add_argument("--keys", required=True,
-                           help="comma-separated secret key files")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("bench", help="sign/verify/keygen timings and sizes")
-    p.add_argument("--sizes", type=_ring_sizes,
-                   help="comma-separated ring sizes, each at least 2; default "
-                        "2,4,8,16,32,64, leaving out any larger than the "
-                        "curve's n - 1 keys")
-    p.set_defaults(func=cmd_bench)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), argv,
+                  _COMMANDS)
     return parser
 
 
@@ -465,7 +480,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(errors="surrogateescape")
     # The one place a failure becomes exit 3.  Any other exception is a
     # bug and keeps its traceback.
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         pp = None if args.func is cmd_mix else _build_params(args)
         return args.func(args, pp)

@@ -471,21 +471,24 @@ def _mixer_from_doc(doc) -> Mixer:
         insecure_override=override,
     )
     mixer = Mixer(pp)
-    mixer._next_seq = _int(doc["next_pool_seq"], "next_pool_seq")
+    mixer._next_seq = next_seq = _int(doc["next_pool_seq"], "next_pool_seq")
     mixer.accounts = {address: _int(balance, f"account {address!r}", 0)
                       for address, balance in doc["accounts"].items()}
     for mix_id, rec in doc["pools"].items():
+        denomination, capacity, balance = (
+            rec["denomination"], rec["capacity"], rec["balance"])
+        # _int only to raise: the check inline, its messages on failure.
+        if not (type(denomination) is type(capacity) is type(balance) is int
+                and denomination >= 1 and capacity >= 2):
+            _int(denomination, f"{mix_id} denomination", 1)
+            _int(capacity, f"{mix_id} capacity", 2)
+            _int(balance, f"{mix_id} balance")
         pool = MixPool(
-            mix_id=mix_id,
-            denomination=_int(rec["denomination"], f"{mix_id} denomination", 1),
-            capacity=_int(rec["capacity"], f"{mix_id} capacity", 2),
-            phase=Phase(rec["phase"]),
-            deposits=[(d["pk"], d["from"]) for d in rec["deposits"]],
-            seen_tags={bytes.fromhex(t) for t in rec["seen_tags"]},
-            payouts=[(pmt["address"], pmt["tag"]) for pmt in rec["payouts"]],
-            refunds=rec["refunds"],
-            balance=_int(rec["balance"], f"{mix_id} balance"),
-        )
+            mix_id, denomination, capacity, Phase(rec["phase"]),
+            [(d["pk"], d["from"]) for d in rec["deposits"]],
+            {bytes.fromhex(t) for t in rec["seen_tags"]},
+            [(pmt["address"], pmt["tag"]) for pmt in rec["payouts"]],
+            rec["refunds"], balance)
         # A string would pass as refunds.  Decoding keys is left to
         # MixPool.ring, but a key that is not a string could not be saved.
         strings = chain(pool.refunds, *pool.deposits, *pool.payouts)
@@ -513,8 +516,6 @@ def _mixer_from_doc(doc) -> Mixer:
             raise MixerError(f"{mix_id}: {count} deposits in a {rec['phase']} "
                              f"pool of capacity {pool.capacity}")
         number = mix_id.removeprefix("mix-")
-        if number != mix_id and number.isdecimal() and (
-                int(number) >= mixer._next_seq):
-            raise MixerError(
-                f"next_pool_seq {mixer._next_seq} would reuse {mix_id}")
+        if number != mix_id and number.isdecimal() and int(number) >= next_seq:
+            raise MixerError(f"next_pool_seq {next_seq} would reuse {mix_id}")
     return mixer

@@ -1,5 +1,6 @@
 """End-to-end command-line scenarios driven through subprocesses."""
 
+import argparse
 import errno
 import fcntl
 import hashlib
@@ -849,6 +850,59 @@ def test_every_package_error_has_the_common_root():
 def test_usage_error_exit_code(workdir):
     res = run_cli("frobnicate", cwd=workdir)
     assert res.returncode == 2
+
+
+# The parser is built only for the subcommands argv names; one built with
+# every name must parse, print and exit exactly as it does.
+NESTED = {name: list(spec) for name, (_, _, spec) in cli._COMMANDS.items()
+          if isinstance(spec, dict)}
+EVERY_NAME = [*cli._COMMANDS, *(n for names in NESTED.values() for n in names)]
+PARSE_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([top, name, "--help"] for top, names in NESTED.items() for name in names),
+    [], ["mix"], ["attack"],
+    ["frobnicate"], ["mix", "frobnicate"], ["attack", "frobnicate"],
+    ["keygen"], ["mix", "status"], ["sign", "--ring", "r.txt"],
+    ["--state", "mix", "keygen", "--out", "k"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return out, err, result
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES,
+                         ids=lambda argv: " ".join(argv) or "bare")
+def test_a_parser_built_for_its_argv_parses_as_the_full_one(argv, monkeypatch,
+                                                           capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(cli.build_parser(EVERY_NAME), argv, capsys)
+    assert _parse(cli.build_parser(argv), argv, capsys) == full
+
+
+def test_mix_status_builds_only_its_own_options(workdir, monkeypatch, capsys):
+    state = str(workdir / "st.json")
+    assert cli.main(["--curve", "test-31", "--state", state, "mix", "create",
+                     "--denomination", "1", "--capacity", "2"]) == 0
+    capsys.readouterr()
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert cli.main(["--state", state, "mix", "status", "--mix", "mix-0001"]) == 0
+    assert capsys.readouterr().out.startswith("mix_id=mix-0001 phase=filling")
+    # The five top-level options, --mix, and -h on the three parsers argv
+    # names; building every subcommand makes 49 calls.
+    assert len(calls) <= 10, calls
 
 
 def test_seeded_runs_are_byte_identical(workdir):
