@@ -272,6 +272,9 @@ def cmd_mix(args, pp: None) -> int:
         elif args.mix_cmd == "status":
             info = mixer.mix_status(args.mix)
             out = " ".join(f"{k}={v}" for k, v in info.items())
+        elif args.mix_cmd == "close":
+            mixer.mix_close(args.mix)
+            out = f"refunds {len(mixer.pools[args.mix].refunds)}"
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown mix command {args.mix_cmd!r}")
         # Printed only once the ledger is saved, so no failed save reports
@@ -406,6 +409,7 @@ _COMMANDS = {
         "withdraw": [("--mix", _REQUIRED), ("--sig", _REQUIRED),
                      ("--payout", _REQUIRED)],
         "status": [("--mix", _REQUIRED)],
+        "close": [("--mix", _REQUIRED)],
     }),
     "attack": ("run a deanonymization demo", cmd_attack, {
         "naive-hash": [_context, ("--sig", _REQUIRED)],

@@ -17,7 +17,7 @@ import pytest
 
 import ringmix
 from ringmix import cli
-from ringmix.mixer import withdraw_message
+from ringmix.mixer import load_state, save_state, withdraw_message
 
 # The directory holding the ringmix package this process imported.  The
 # child gets it on PYTHONPATH as an absolute path, so it runs the same code
@@ -304,6 +304,60 @@ def test_mix_flags_left_out_follow_the_ledger(workdir):
         res = run_cli(*flags, *mix, "status", "--mix", "mix-0001", cwd=workdir)
         assert res.returncode == 0, (flags, res.stderr)
         assert res.stdout.startswith("mix_id=mix-0001 phase=filling ")
+
+
+def _mix(capsys, state, *args):
+    rc = cli.main(["--curve", "test-31", "--state", state, "mix", *args])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_mix_close_refunds_a_filling_pool_and_saves(workdir, capsys):
+    state = str(workdir / "st.json")
+    assert cli.main(["--curve", "test-31", "--seed", "1", "keygen",
+                     "--out", str(workdir / "alice")]) == 0
+    for args in (["create", "--denomination", "3", "--capacity", "2"],
+                 ["fund", "--account", "carol", "--amount", "5"],
+                 ["deposit", "--mix", "mix-0001", "--pk",
+                  str(workdir / "alice.pk"), "--from", "carol"]):
+        assert _mix(capsys, state, *args)[0] == 0
+    before = load_state(state)
+    assert _mix(capsys, state, "close", "--mix", "mix-0001") == (
+        0, "refunds 1\n", "")
+    # The ledger the library leaves, byte for byte.
+    before.mix_close("mix-0001")
+    save_state(before, str(workdir / "want.json"))
+    assert (workdir / "st.json").read_bytes() == (
+        workdir / "want.json").read_bytes()
+    assert _mix(capsys, state, "fund", "--account", "carol", "--amount",
+                "0")[1] == "carol 5\n"
+    assert _mix(capsys, state, "status", "--mix", "mix-0001")[1] == (
+        "mix_id=mix-0001 phase=closed denomination=3 capacity=2 deposits=1 "
+        "tags_seen=0 payouts=0 balance=0\n")
+
+
+def test_mix_close_on_a_pool_that_is_not_filling_is_state_error(workdir,
+                                                                capsys):
+    state = str(workdir / "st.json")
+    assert cli.main(["--curve", "test-31", "--seed", "1", "keygen",
+                     "--out", str(workdir / "alice")]) == 0
+    assert cli.main(["--curve", "test-31", "--seed", "2", "keygen",
+                     "--out", str(workdir / "bob")]) == 0
+    for args in (["create", "--denomination", "1", "--capacity", "2"],
+                 ["create", "--denomination", "1", "--capacity", "2"],
+                 ["fund", "--account", "carol", "--amount", "2"],
+                 *(["deposit", "--mix", "mix-0001", "--pk",
+                    str(workdir / f"{name}.pk"), "--from", "carol"]
+                   for name in ("alice", "bob")),
+                 ["close", "--mix", "mix-0002"]):
+        assert _mix(capsys, state, *args)[0] == 0
+    saved = (workdir / "st.json").read_bytes()
+    for mix_id in ("mix-0001", "mix-0002"):  # published, closed
+        assert _mix(capsys, state, "close", "--mix", mix_id) == (
+            3, "", "error: only a filling pool can be closed with refunds\n")
+    assert _mix(capsys, state, "close", "--mix", "mix-0009") == (
+        3, "", "error: no pool 'mix-0009'\n")
+    assert (workdir / "st.json").read_bytes() == saved
 
 
 def test_mix_ring_on_closed_pool_is_state_error(workdir):

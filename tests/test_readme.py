@@ -27,6 +27,7 @@ RESULTS = {
     "mix-0001|pay-addr": "mix-0001|pay-addr",
     "signer-index": None,
     "attack-failed": "attack-failed",
+    "refunds": "refunds 1",
 }
 
 
