@@ -329,11 +329,6 @@ class Point(_Frozen):
         Q = None if other.is_infinity else (other.x, other.y)
         return Point._wrap(self.curve, _to_affine([_jadd(J, Q, p)], p)[0])
 
-    def __neg__(self) -> "Point":
-        if self.is_infinity:
-            return self
-        return Point(self.curve, self.x, -self.y)
-
     def __rmul__(self, k) -> "Point":
         return multi_mul(self.curve, [[(k, self)]])[0]
 

@@ -18,23 +18,17 @@ followed by c_1 || t_1 || ... || c_n || t_n, each scalar width, everything
 big-endian.  On secp256k1 both widths are 32, so a size-n ring signature is
 exactly 64*(n+1) bytes.  Message and ring travel out of band.
 
-Challenge transcripts (H'): SHA-256 over the bytes 0x02 0x00 (the
-to-scalar domain tag and a zero counter) followed by one of the two byte
-strings below; the digest, read as a big-endian integer, is reduced mod n.
-A point in a transcript is 1 + field_bytes wide (33 bytes on secp256k1):
-its compressed encoding (0x02 or 0x03 by the parity of y, then x
-big-endian), or that many zero bytes for infinity.
-
-* ``urs-ring`` (ring signatures): the 8 ASCII bytes ``urs-ring``, the
-  8-byte big-endian message length, the message, the ring's canonical
-  bytes (the members' compressed encodings in sorted order), the tag tau,
-  then the points a_1, b_1, a_2, b_2, ..., a_n, b_n, where
-  a_j = t_j*g + c_j*y_j and b_j = t_j*H(m || R) + c_j*tau.  The whole
-  statement (m, R, tau) is hashed, so no signer can choose tau after
-  seeing the challenge.
-* ``urs-dleq`` (equal-discrete-log proofs): the 8 ASCII bytes
-  ``urs-dleq``, then the six points g1, g2, y1, y2, a, b, where
-  a = t*g1 + c*y1 and b = t*g2 + c*y2.
+Challenge transcript (H'): SHA-256 over the bytes 0x02 0x00 (the
+to-scalar domain tag and a zero counter), then the 8 ASCII bytes
+``urs-ring``, the 8-byte big-endian message length, the message, the
+ring's canonical bytes (the members' compressed encodings in sorted
+order), the tag tau, then the points a_1, b_1, a_2, b_2, ..., a_n, b_n,
+where a_j = t_j*g + c_j*y_j and b_j = t_j*H(m || R) + c_j*tau.  The
+digest, read as a big-endian integer, is reduced mod n.  A point in the
+transcript is 1 + field_bytes wide (33 bytes on secp256k1): its compressed
+encoding (0x02 or 0x03 by the parity of y, then x big-endian), or that
+many zero bytes for infinity.  The whole statement (m, R, tau) is hashed,
+so no signer can choose tau after seeing the challenge.
 """
 
 from __future__ import annotations
@@ -237,30 +231,25 @@ def ring_message_point(pp: PublicParams, msg: bytes, ring: Ring) -> Point:
     return hash_to_curve(ring_message_bytes(msg, ring), pp.curve, pp.h_variant)
 
 
-def _challenge(g: Point, h: Point, label: bytes, lead, pairs, cs, ts) -> Scalar:
-    """H' over label, the lead points, then a_1, b_1, ..., a_n, b_n, where
-    a_j = t_j*g + c_j*y_j and b_j = t_j*h + c_j*z_j for each (y_j, z_j).
-
-    One OR-composed equal-discrete-log commitment per pair, all in one batch
-    that returns them in transcript order; a slot with (c, t) = (0, r) is an
-    honest commitment (r*g, r*h).  Every point takes the fixed transcript
-    width (infinity pads), so boundaries cannot shift.
-    """
-    jobs = []
-    for (y, z), c, t in zip(pairs, cs, ts):
-        jobs.append((t, g, c, y))
-        jobs.append((t, h, c, z))
-    pad = b"\x00" * (1 + g.curve.field_bytes)
-    parts = [label]
-    parts.extend(pad if P.is_infinity else P.encode()
-                 for P in (*lead, *dual_scalar_mul_batch(jobs)))
-    return hash_to_scalar(b"".join(parts), g.curve)
-
-
 def _ring_challenge(g: Point, h: Point, msg: bytes, ring: Ring, tau: Point,
                     cs, ts) -> Scalar:
-    label = b"urs-ring" + ring_message_bytes(msg, ring)
-    return _challenge(g, h, label, (tau,), [(y, tau) for y in ring], cs, ts)
+    """H' over urs-ring, the message and ring bytes, tau, then a_1, b_1,
+    ..., a_n, b_n, where a_j = t_j*g + c_j*y_j and b_j = t_j*h + c_j*tau.
+
+    One OR-composed equal-discrete-log commitment per member, all in one
+    batch that returns them in transcript order; a slot with (c, t) =
+    (0, r) is an honest commitment (r*g, r*h).  Every point takes the fixed
+    transcript width (infinity pads), so boundaries cannot shift.
+    """
+    jobs = []
+    for y, c, t in zip(ring, cs, ts):
+        jobs.append((t, g, c, y))
+        jobs.append((t, h, c, tau))
+    pad = b"\x00" * (1 + g.curve.field_bytes)
+    parts = [b"urs-ring", ring_message_bytes(msg, ring)]
+    parts.extend(pad if P.is_infinity else P.encode()
+                 for P in (tau, *dual_scalar_mul_batch(jobs)))
+    return hash_to_scalar(b"".join(parts), g.curve)
 
 
 def ring_sign(pp: PublicParams, sk: Scalar, ring: Ring, msg: bytes, rng) -> Signature:
@@ -343,40 +332,6 @@ def link(s1: Signature, s2: Signature) -> LinkResult:
     if s1.tau == s2.tau:
         return LinkResult.LINKED
     return LinkResult.UNLINKED
-
-
-# ---------------------------------------------------------------------------
-# Equal-discrete-log proofs (the two-generator Schnorr building block)
-
-
-class DleqProof(_Frozen):
-    __slots__ = ("c", "t")
-
-    def __init__(self, c: Scalar, t: Scalar):
-        super().__init__(c, t)
-
-
-def dleq_prove(x: Scalar, g1: Point, g2: Point, rng) -> DleqProof:
-    """Prove log_g1(x*g1) = log_g2(x*g2) without revealing x."""
-    curve = g1.curve
-    if g1.is_infinity or g2.is_infinity:
-        raise UrsError("generators must not be the identity")
-    if x.modulus != curve.n:
-        raise UrsError("witness scalar does not match the curve order")
-    if x.value == 0:
-        raise UrsError("zero witness is degenerate")
-    r = curve.scalar(rng.randrange(curve.n))
-    y1, y2 = x * g1, x * g2
-    c = _challenge(g1, g2, b"urs-dleq", (g1, g2, y1, y2), [(y1, y2)], [0], [r])
-    return DleqProof(c=c, t=r - c * x)
-
-
-def dleq_verify(y1: Point, y2: Point, g1: Point, g2: Point,
-                proof: DleqProof) -> bool:
-    if g1.is_infinity or g2.is_infinity:
-        return False
-    return proof.c == _challenge(g1, g2, b"urs-dleq", (g1, g2, y1, y2),
-                                 [(y1, y2)], [proof.c], [proof.t])
 
 
 # ---------------------------------------------------------------------------

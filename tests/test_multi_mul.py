@@ -58,7 +58,8 @@ def all_points(curve):
 
 def sample_points(curve, seed=7):
     rng = random.Random(seed)
-    pts = [Point.infinity(curve), curve.g, -curve.g]
+    g = curve.g
+    pts = [Point.infinity(curve), g, Point(curve, g.x, -g.y % curve.p)]
     pts += [rng.randrange(1, curve.n) * curve.g for _ in range(3)]
     if curve is TEST_CURVE_11:
         pts.append(Point(curve, 5, 0))  # 2-torsion: 2P is infinity
@@ -324,7 +325,7 @@ def test_short_unshared_scalar_next_to_folded_digits(curve):
     # bases on secp256k1, so those digits index wider tables.
     rng = random.Random(17)
     shorts = [2, 4, 8] if curve.n < 100 else [2**20 + 5, 2**40 + 1, 2**70 + 3]
-    ys = [-curve.g] + sample_points(curve)[3:5]  # each in two jobs: unshared
+    ys = sample_points(curve)[2:5]  # -g and two: each in two jobs, unshared
     for sharing in (curve_module._SHARE, 24):
         shared = [rng.randrange(curve.n) * curve.g for _ in range(2)]
         jobs = [[(rng.randrange(curve.n), P) for P in shared]

@@ -19,7 +19,6 @@ from ringmix import (
     SECP256K1,
     WithdrawStatus,
     canonical_ring,
-    dleq_prove,
     encode_signature,
     ring_gen,
     ring_sign,
@@ -71,7 +70,6 @@ SIGN_VERIFY = {  # n -> (a cold sign, a cold verify)
 }
 RING_32 = (18651, 44911, 71)
 POOL_CAP4 = (14948, 18331, 134)
-DLEQ = (425, 284, 9)
 
 
 def test_cold_keygen(tally):
@@ -125,14 +123,3 @@ def test_pool_cap4_sequence(tally):
             assert mixer.mix_withdraw(mix_id, blob, payout) is \
                 WithdrawStatus.ACCEPTED
     assert take(tally) == POOL_CAP4
-
-
-def test_dleq_prove(tally, cold_cache):
-    rng = random.Random(32)
-    x = SECP256K1.scalar(rng.randrange(1, SECP256K1.n))
-    g2 = rng.randrange(1, SECP256K1.n) * SECP256K1.g
-    cold_cache.clear()
-    take(tally)
-    dleq_prove(x, SECP256K1.g, g2, rng)
-    assert take(tally) == DLEQ
-

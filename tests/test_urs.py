@@ -17,8 +17,6 @@ import pytest
 from conftest import affine_add, distinct_keys, forge_fresh_tag, oracle_xy
 
 from ringmix import (
-    CurveError,
-    DleqProof,
     HashVariant,
     InsecureVariantError,
     KeyPair,
@@ -39,8 +37,6 @@ from ringmix import (
     UrsError,
     canonical_ring,
     decode_signature,
-    dleq_prove,
-    dleq_verify,
     encode_signature,
     link,
     ring_gen,
@@ -78,8 +74,8 @@ def test_value_types_compare_hash_and_stay_frozen(pp31, rng):
     pair = ring_gen(pp31, rng)
     same = KeyPair(sk=pair.sk, pk=pair.pk)
     assert same == pair and hash(same) == hash(pair) and same is not pair
-    assert KeyPair(pair.sk, -pair.pk) != pair
-    assert DleqProof(pair.sk, pair.sk) != KeyPair(pair.sk, pair.sk)
+    assert KeyPair(pair.sk, -1 * pair.pk) != pair
+    assert KeyPair(5, 21) != Scalar(5, 21)
     assert repr(Tag(pair.pk)) == f"Tag(point={pair.pk!r})"
     for value, field in ((pp31, "curve"), (pair, "sk"), (Tag(pair.pk), "point")):
         with pytest.raises(AttributeError, match="is immutable"):
@@ -87,7 +83,7 @@ def test_value_types_compare_hash_and_stay_frozen(pp31, rng):
     with pytest.raises(UrsError, match="identity"):
         Tag(Point.infinity(TEST_CURVE_31))
     with pytest.raises(TypeError):
-        DleqProof(pair.sk)
+        KeyPair(pair.sk)
 
 
 def test_setup_desk_scale_params(pp31):
@@ -604,113 +600,6 @@ def test_secp_codec_roundtrip(pp_secp):
     assert decode_signature(blob, SECP256K1, b"wire", ring) == sig
 
 
-# ---------------------------------------------------------------------------
-# equal-discrete-log proofs
-
-
-@pytest.fixture(scope="module")
-def dleq_bases(pp31):
-    g1 = pp31.curve.g
-    # second full-order generator: 2*g generates the whole cyclic group
-    # only if gcd(2, 21) = 1, which holds
-    g2 = 2 * g1
-    assert not g2.is_infinity
-    return g1, g2
-
-
-def test_dleq_completeness_exhaustive(pp31, dleq_bases):
-    g1, g2 = dleq_bases
-    rng = random.Random(10)
-    for x_val in range(1, pp31.curve.n):
-        x = pp31.curve.scalar(x_val)
-        proof = dleq_prove(x, g1, g2, rng)
-        assert dleq_verify(x * g1, x * g2, g1, g2, proof)
-
-
-def test_dleq_mismatch_rejection_statistics(pp31, dleq_bases):
-    """All (x, x') pairs with x != x'.  The challenge lives in Z_21, so a
-    wrong statement passes with probability ~1/21 per attempt; exact
-    all-reject is only a 2^-256 statement on secp256k1 (tested below).
-    Completeness stays exact; here the rejection rate must dominate."""
-    g1, g2 = dleq_bases
-    n = pp31.curve.n
-    rng = random.Random(11)
-    attempts = 0
-    rejections = 0
-    for x_val in range(1, n):
-        x = pp31.curve.scalar(x_val)
-        proof = dleq_prove(x, g1, g2, rng)
-        y1 = x * g1
-        for other in range(1, n):
-            if other == x_val:
-                continue
-            attempts += 1
-            if not dleq_verify(y1, pp31.curve.scalar(other) * g2, g1, g2, proof):
-                rejections += 1
-    assert attempts == 380
-    assert rejections / attempts > 0.85
-
-
-def test_dleq_mismatch_rejects_secp(pp_secp):
-    rng = random.Random(12)
-    g1 = pp_secp.curve.g
-    g2 = 5 * g1
-    for _ in range(10):
-        x = pp_secp.curve.scalar(rng.randrange(1, pp_secp.curve.n))
-        w = pp_secp.curve.scalar(rng.randrange(1, pp_secp.curve.n))
-        proof = dleq_prove(x, g1, g2, rng)
-        assert dleq_verify(x * g1, x * g2, g1, g2, proof)
-        if w != x:
-            assert not dleq_verify(x * g1, w * g2, g1, g2, proof)
-            assert not dleq_verify(w * g1, x * g2, g1, g2, proof)
-
-
-def test_dleq_tampered_proof_rejects_secp(pp_secp):
-    rng = random.Random(13)
-    g1 = pp_secp.curve.g
-    g2 = 7 * g1
-    x = pp_secp.curve.scalar(rng.randrange(1, pp_secp.curve.n))
-    proof = dleq_prove(x, g1, g2, rng)
-    one = pp_secp.curve.scalar(1)
-    from ringmix import DleqProof
-
-    assert not dleq_verify(x * g1, x * g2, g1, g2, DleqProof(proof.c + one, proof.t))
-    assert not dleq_verify(x * g1, x * g2, g1, g2, DleqProof(proof.c, proof.t + one))
-
-
-def test_dleq_zero_witness_rejected(pp31, dleq_bases):
-    g1, g2 = dleq_bases
-    with pytest.raises(UrsError):
-        dleq_prove(pp31.curve.scalar(0), g1, g2, random.Random(0))
-    with pytest.raises(UrsError, match="curve order"):
-        dleq_prove(Scalar(3, 31), g1, g2, random.Random(0))
-
-
-def test_dleq_infinity_generator_rejected(pp31):
-    g, inf, three = pp31.curve.g, Point.infinity(pp31.curve), pp31.curve.scalar(3)
-    with pytest.raises(UrsError):
-        dleq_prove(three, g, inf, random.Random(0))
-    assert not dleq_verify(three * g, inf, g, inf, DleqProof(three, three))
-
-
-@pytest.mark.parametrize("foreign", ["g1", "g2", "y1", "y2"])
-def test_dleq_verify_refuses_a_point_on_another_curve(pp31, dleq_bases, foreign):
-    g1, g2 = dleq_bases
-    x = pp31.curve.scalar(5)
-    proof = dleq_prove(x, g1, g2, random.Random(0))
-    points = {"g1": g1, "g2": g2, "y1": x * g1, "y2": x * g2}
-    points[foreign] = SECP256K1.g
-    with pytest.raises(CurveError):
-        dleq_verify(points["y1"], points["y2"], points["g1"], points["g2"],
-                    proof)
-
-
-def test_dleq_prove_refuses_a_generator_on_another_curve(pp31):
-    with pytest.raises(CurveError):
-        dleq_prove(pp31.curve.scalar(5), pp31.curve.g, SECP256K1.g,
-                   random.Random(0))
-
-
 def test_challenges_go_through_the_module_globals(pp_secp, monkeypatch):
     """The benchmark times its curve.batch and hashing.h2s spans by
     wrapping urs.dual_scalar_mul_batch and urs.hash_to_scalar, so each
@@ -738,13 +627,6 @@ def test_challenges_go_through_the_module_globals(pp_secp, monkeypatch):
     # label, message length, message, ring, tau, then a_1, b_1, ..., b_4
     assert calls == [("batch", 8), ("h2s", 8 + 8 + 5 + 4 * 33 + 33 + 8 * 33)]
 
-    calls.clear()
-    g = pp_secp.curve.g
-    x = pp_secp.curve.scalar(5)
-    assert dleq_verify(x * g, x * (3 * g), g, 3 * g,
-                       dleq_prove(x, g, 3 * g, rng))
-    assert calls == [("batch", 2), ("h2s", 8 + 6 * 33)] * 2
-
 
 # ---------------------------------------------------------------------------
 # message binding helper
@@ -764,12 +646,12 @@ def test_ring_message_bytes_layout(pp31):
 
 
 def test_seeded_signature_and_dleq_bytes_are_pinned():
-    """Seeded signatures and DLEQ proofs keep their exact bytes.
+    """Seeded signatures keep their exact bytes.
 
     They fix the rng draw order (t_j then c_j for every non-signer j in
-    ring order, then r) and the transcript layout.  The signature values
-    were re-derived when tau joined the urs-ring transcript; the DLEQ
-    value predates that and did not move.
+    ring order, then r) and the transcript layout.  The values were
+    re-derived when tau joined the urs-ring transcript.  (The name is
+    older than the deletion of the DLEQ proofs it also pinned.)
     """
     cases = [
         (SECP256K1, HashVariant.FT_DETERMINISTIC, "76a45948d2c9a7d1"),
@@ -784,11 +666,3 @@ def test_seeded_signature_and_dleq_bytes_are_pinned():
         sig = ring_sign(pp, keys[1].sk, ring, b"golden", rng)
         blob = encode_signature(sig)
         assert hashlib.sha256(blob).hexdigest()[:16] == expected, curve.curve_id
-
-    curve = SECP256K1
-    rng = random.Random(2024)
-    x = curve.scalar(rng.randrange(1, curve.n))
-    g2 = rng.randrange(1, curve.n) * curve.g
-    proof = dleq_prove(x, curve.g, g2, rng)
-    raw = proof.c.value.to_bytes(32, "big") + proof.t.value.to_bytes(32, "big")
-    assert hashlib.sha256(raw).hexdigest()[:16] == "c78fd2bd79fc064a"
