@@ -429,8 +429,9 @@ class Point(_Frozen):
 # endomorphism, so the same levels.  A base's first call builds what it
 # would without the cache, so a one-shot ``ringmix verify`` pays nothing
 # new.  Its next call finds it warm and builds its missing levels, once: at
-# n = 32 the first verify after a sign doubles 5040 times and adds 6065
-# times, against 4830 and 5290 for the same verify on a cold cache.  From
+# n = 32 the first verify after a sign doubles and adds more often than the
+# same verify on a cold cache (test_op_counts.py pins both counts, in
+# test_first_verify_after_a_sign and test_cold_sign_and_verify[32]).  From
 # then on a ring verified again and again, as a mixing pool's is, doubles
 # about 1020 times and adds 4260 once g is at width 10 (4540 with g at
 # width 7, 5510 with every base at width 5).

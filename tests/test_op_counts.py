@@ -68,6 +68,9 @@ SIGN_VERIFY = {  # n -> (a cold sign, a cold verify)
     11: ((1987, 2116, 9), (1825, 2016, 3)),
     32: ((4990, 5507, 9), (4828, 5289, 3)),
 }
+# The verify of the n = 32 case just after its sign, on the cache that the
+# sign warmed: it builds the levels the sign left out.
+VERIFY_AFTER_SIGN_32 = (5042, 6064, 3)
 RING_32 = (18651, 44911, 71)
 POOL_CAP4 = (14948, 18331, 134)
 
@@ -89,6 +92,17 @@ def test_cold_sign_and_verify(tally, cold_cache, n):
     cold_cache.clear()
     assert ring_verify(PP, ring, b"msg", sig)
     assert (sign, take(tally)) == SIGN_VERIFY[n]
+
+
+def test_first_verify_after_a_sign(tally, cold_cache):
+    rng = random.Random(32)
+    pairs = keys(32, rng)
+    ring = canonical_ring(pair.pk for pair in pairs)
+    cold_cache.clear()
+    sig = ring_sign(PP, pairs[0].sk, ring, b"msg", rng)
+    take(tally)
+    assert ring_verify(PP, ring, b"msg", sig)
+    assert take(tally) == VERIFY_AFTER_SIGN_32
 
 
 def test_ring_32_sequence(tally):
